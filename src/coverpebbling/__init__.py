@@ -4,7 +4,6 @@ configurations, threshold experiments, and the exact-cover hardness gadget."""
 from .graphs import (
     UNREACHABLE,
     Configuration,
-    DistanceMatrix,
     Graph,
     build_graph,
     complete_graph,
@@ -13,7 +12,6 @@ from .graphs import (
     configuration_to_dict,
     cube_graph,
     cycle_graph,
-    distance_matrix,
     generate_family,
     gnp_random_graph,
     graph_from_dict,

@@ -43,6 +43,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -82,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--certificate", help="write the move certificate JSON here")
-    p.add_argument("--budget", type=int, default=solvability.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=solvability.DEFAULT_NODE_BUDGET)
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive brute-force oracle instead of the solver")
 

@@ -1,14 +1,17 @@
 """Undirected graphs, pebble configurations, and named graph families.
 
 Vertices are dense 0-indexed integers.  Graphs are simple (no loops, no
-parallel edges) and immutable once built; all-pairs hop distances are
-computed eagerly at construction because every downstream computation
-(stacking weights, solver pruning) reads them repeatedly.
+parallel edges) and immutable once built.  All-pairs hop distances are
+computed eagerly at construction, because every downstream computation
+(stacking weights, solver pruning) reads them repeatedly: `Graph.distances`
+is a read-only (n, n) int64 array whose entry [u, v] is the hop distance
+between u and v, or UNREACHABLE (-1) when no path joins them.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from itertools import combinations
 
@@ -17,49 +20,21 @@ import numpy as np
 UNREACHABLE = -1
 
 
-class DistanceMatrix:
-    """All-pairs unweighted hop distances; UNREACHABLE (-1) marks disconnected pairs."""
-
-    def __init__(self, dist: np.ndarray):
-        self.dist = dist
-        self.dist.flags.writeable = False
-
-    def __getitem__(self, pair):
-        return int(self.dist[pair])
-
-    @property
-    def vertex_count(self) -> int:
-        return self.dist.shape[0]
-
-    def is_connected(self) -> bool:
-        return self.vertex_count <= 1 or not (self.dist == UNREACHABLE).any()
-
-    def unreachable_pair(self):
-        """Some (u, v) with no path between them, or None if connected."""
-        bad = np.argwhere(self.dist == UNREACHABLE)
-        if len(bad) == 0:
-            return None
-        u, v = bad[0]
-        return int(u), int(v)
-
-    def diameter(self) -> int:
-        """Largest finite distance (0 for the empty and one-vertex graphs)."""
-        if self.vertex_count == 0:
-            return 0
-        finite = self.dist[self.dist != UNREACHABLE]
-        return int(finite.max()) if finite.size else 0
-
-
 class Graph:
     """Immutable simple graph: vertex_count, sorted edge tuple, adjacency, distances."""
 
     def __init__(self, vertex_count: int, edges):
+        try:
+            vertex_count = operator.index(vertex_count)
+            pairs = [(operator.index(u), operator.index(v)) for u, v in edges]
+        except TypeError as exc:
+            raise ValueError(
+                f"a graph needs an integer vertex count and integer edge pairs: {exc}") from exc
         if vertex_count < 0:
             raise ValueError(f"vertex count must be non-negative, got {vertex_count}")
         self.vertex_count = vertex_count
         canonical = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for u, v in pairs:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
                     f"edge ({u},{v}) has an endpoint outside 0..{vertex_count - 1}")
@@ -72,7 +47,8 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        self.distances = DistanceMatrix(_bfs_all_pairs(vertex_count, self.adjacency))
+        self.distances = _bfs_all_pairs(vertex_count, self.adjacency)
+        self.distances.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
@@ -82,7 +58,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        return self.distances.is_connected()
+        return self.vertex_count <= 1 or UNREACHABLE not in self.distances[0].tolist()
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest member."""
@@ -109,18 +85,24 @@ class Graph:
 
 
 def _bfs_all_pairs(n: int, adjacency) -> np.ndarray:
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    """(n, n) int64 hop distances: one level-by-level BFS per source over lists."""
+    rows = []
     for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[s, u]
-            for w in adjacency[u]:
-                if dist[s, w] == UNREACHABLE:
-                    dist[s, w] = du + 1
-                    queue.append(w)
-    return dist
+        row = [UNREACHABLE] * n
+        row[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if row[w] == UNREACHABLE:
+                        row[w] = depth
+                        reached.append(w)
+            frontier = reached
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
 def build_graph(vertex_count: int, edge_list) -> Graph:
@@ -132,18 +114,16 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
     return Graph(vertex_count, edge_list)
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Breadth-first hop distances for all vertex pairs of g."""
-    return g.distances
-
-
 class Configuration:
     """Per-vertex pebble counts with the total cached."""
 
     __slots__ = ("pebbles", "total")
 
     def __init__(self, pebbles):
-        counts = tuple(int(p) for p in pebbles)
+        try:
+            counts = tuple(map(operator.index, pebbles))
+        except TypeError as exc:
+            raise ValueError(f"pebble counts must be integers: {exc}") from exc
         for i, p in enumerate(counts):
             if p < 0:
                 raise ValueError(f"negative pebble count {p} at vertex {i}")
@@ -310,9 +290,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(d: dict) -> Graph:
     try:
-        n = int(d["n"])
-        edges = d["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = d["n"], d["edges"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON needs integer 'n' and list 'edges': {exc}") from exc
     return build_graph(n, edges)
 

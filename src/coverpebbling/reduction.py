@@ -14,6 +14,7 @@ three-edge trip, which is what forces exactness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,9 +36,9 @@ class X4CInstance:
     sets: tuple
 
     def __init__(self, ground_set_size, sets):
-        object.__setattr__(self, "ground_set_size", int(ground_set_size))
+        object.__setattr__(self, "ground_set_size", operator.index(ground_set_size))
         object.__setattr__(
-            self, "sets", tuple(tuple(sorted(int(e) for e in s)) for s in sets)
+            self, "sets", tuple(tuple(sorted(map(operator.index, s))) for s in sets)
         )
 
     @property

@@ -11,6 +11,7 @@ into a legal move sequence.
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -74,7 +75,7 @@ class MoveCertificate:
     def __init__(self, moves=None):
         cleaned = {}
         for (i, j), count in dict(moves or {}).items():
-            i, j, count = int(i), int(j), int(count)
+            i, j, count = operator.index(i), operator.index(j), operator.index(count)
             if count < 0:
                 raise ValueError(f"negative move count for ({i},{j})")
             if i == j:
@@ -101,7 +102,7 @@ def certificate_to_dict(m: MoveCertificate) -> dict:
 def certificate_from_dict(d: dict) -> MoveCertificate:
     try:
         triples = d["moves"]
-        return MoveCertificate({(int(i), int(j)): int(c) for i, j, c in triples})
+        return MoveCertificate({(i, j): c for i, j, c in triples})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"certificate JSON needs a 'moves' list of [i,j,count]: {exc}") from exc
 
@@ -319,16 +320,12 @@ def _weight_rejects(g: Graph, c: Configuration) -> bool:
 def _scaled_potentials(g: Graph, total: int):
     # pot[u][v] = 2^(diam - d(u,v)) so that "weight(v) >= 1" becomes an exact
     # integer comparison against 2^diam; int64 whenever it cannot overflow
-    diam = g.distances.diameter()
-    dist = g.distances.dist
+    dist = g.distances
+    diam = int(dist.max())
     if diam <= 60 and total << diam < 2**62:
-        pot = np.left_shift(np.int64(1), (diam - dist).astype(np.int64))
+        pot = np.left_shift(np.int64(1), diam - dist)
     else:
-        n = g.vertex_count
-        pot = np.empty((n, n), dtype=object)
-        for u in range(n):
-            for v in range(n):
-                pot[u, v] = 1 << (diam - int(dist[u, v]))
+        pot = np.array([[1 << (diam - d) for d in row] for row in dist.tolist()], dtype=object)
     return pot, 1 << diam
 
 
@@ -386,8 +383,6 @@ def _search(g: Graph, c: Configuration, budget: int):
     visited = set()
     path = []
     nodes = 0
-    # recursion depth is bounded by the number of firings, at most n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 200))
 
     def fire(carr, fired, t, weights):
         nonlocal nodes
@@ -455,10 +450,15 @@ def _search(g: Graph, c: Configuration, budget: int):
             path.pop()
         return False
 
+    # recursion depth is bounded by the number of firings, at most n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 200))
     try:
         found = fire(carr0, 0, t0, weights0)
     except _BudgetExhausted:
         return UNDECIDED, None, nodes
+    finally:
+        sys.setrecursionlimit(limit)
     if not found:
         return UNSOLVABLE, None, nodes
     moves = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import UNREACHABLE, Graph
 
 
 @dataclass(frozen=True)
@@ -21,28 +21,19 @@ class StackingResult:
     per_vertex_weights: tuple
 
 
-def stacking_weight(g: Graph, d: DistanceMatrix, v: int) -> int:
+def stacking_weight(g: Graph, v: int) -> int:
     """Exact sum_u 2^dist(u,v), in unbounded integer arithmetic."""
-    _require_connected(g)
-    total = 0
-    for u in range(g.vertex_count):
-        total += 1 << d[u, v]
-    return total
+    if not g.is_connected():
+        u = g.distances[0].tolist().index(UNREACHABLE)
+        raise ValueError(f"graph is disconnected: no path between vertices 0 and {u}")
+    return sum(1 << d for d in g.distances[v].tolist())
 
 
 def cover_pebbling_number(g: Graph) -> StackingResult:
     """Cover pebbling number of a connected graph, ties broken by smallest vertex."""
     if g.vertex_count < 1:
         raise ValueError("cover pebbling number needs at least one vertex")
-    _require_connected(g)
-    d = distance_matrix(g)
-    weights = tuple(stacking_weight(g, d, v) for v in range(g.vertex_count))
+    weights = tuple(stacking_weight(g, v) for v in range(g.vertex_count))
     best = max(weights)
     return StackingResult(best, weights.index(best), weights)
 
-
-def _require_connected(g: Graph) -> None:
-    pair = g.distances.unreachable_pair()
-    if pair is not None:
-        raise ValueError(
-            f"graph is disconnected: no path between vertices {pair[0]} and {pair[1]}")

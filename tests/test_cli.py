@@ -58,6 +58,15 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert run_cli(["solve", "--graph", graph, "--config", config, "--budget", "1"]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "ten"])
+def test_solve_rejects_a_non_positive_budget(p3, tmp_path, capsys, budget):
+    config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--graph", p3, "--config", config, "--budget", budget])
+    assert exc.value.code == 64
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_solve_oracle_flag(p3, tmp_path):
     config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
     assert run_cli(["solve", "--graph", p3, "--config", config, "--oracle"]) == 0
@@ -167,3 +176,43 @@ def test_input_errors_exit_65(tmp_path, capsys):
     malformed = _write(tmp_path / "m.json", {"n": 2, "edges": [[0, 5]]})
     assert run_cli(["lambda", "--graph", malformed]) == 65
     capsys.readouterr()
+
+
+_P3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+_BAD_GRAPHS = {
+    "edges-flat": {"n": 2, "edges": [0, 1]},
+    "edges-null": {"n": 2, "edges": None},
+    "edge-float": {"n": 2, "edges": [[0.7, 1]]},
+    "n-float": {"n": 2.5, "edges": [[0, 1]]},
+}
+_BAD_INPUTS = {
+    "pebbles-null": ("solve", _P3, {"pebbles": None}),
+    "pebbles-float": ("solve", _P3, {"pebbles": [1.5, 0, 4]}),
+    **{f"solve-{k}": ("solve", g, {"pebbles": [3, 0]}) for k, g in _BAD_GRAPHS.items()},
+    **{f"lambda-{k}": ("lambda", g, None) for k, g in _BAD_GRAPHS.items()},
+}
+
+
+@pytest.mark.parametrize("command, graph, config", _BAD_INPUTS.values(), ids=list(_BAD_INPUTS))
+def test_non_integer_input_is_rejected_not_truncated(tmp_path, capsys, command, graph, config):
+    argv = [command, "--graph", _write(tmp_path / "g.json", graph)]
+    if config is not None:
+        argv += ["--config", _write(tmp_path / "c.json", config)]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_non_integer_certificate_and_instance_are_rejected(p3, tmp_path, capsys):
+    config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    certificate = _write(tmp_path / "m.json", {"moves": [[0.7, 1, 3], [1, 2, 1]]})
+    assert run_cli(["verify", "--graph", p3, "--config", config,
+                    "--certificate", certificate]) == 65
+    instance = _write(tmp_path / "x.json", {"ground_set_size": 8.5,
+                                            "sets": [[0, 1, 2, 3], [4, 5, 6, 7]]})
+    assert run_cli(["xcover", "--instance", instance]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 2

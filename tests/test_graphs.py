@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,26 +45,27 @@ def test_build_idempotent_under_permutation_and_duplication():
 
 
 def test_path_and_complete_distances():
-    assert cp.distance_matrix(cp.path_graph(4))[0, 3] == 3
-    d = cp.distance_matrix(cp.complete_graph(5)).dist
+    assert cp.path_graph(4).distances[0, 3] == 3
+    d = cp.complete_graph(5).distances
     off_diagonal = d[~np.eye(5, dtype=bool)]
     assert (off_diagonal == 1).all()
 
 
 def test_isolated_vertices_are_unreachable():
     g = cp.build_graph(2, [])
-    assert cp.distance_matrix(g)[0, 1] == UNREACHABLE
+    assert g.distances[0, 1] == UNREACHABLE
     assert not g.is_connected()
-    assert g.distances.unreachable_pair() == (0, 1)
+    with pytest.raises(ValueError, match="vertices 0 and 1"):
+        cp.cover_pebbling_number(g)
 
 
-def test_distance_matrix_axioms_random():
+def test_distances_axioms_random():
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(1, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [e for e in pairs if rng.random() < 0.5]
-        d = cp.build_graph(n, edges).distances.dist
+        d = cp.build_graph(n, edges).distances
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
         for u in range(n):
@@ -161,3 +166,12 @@ def test_configuration_basics_and_json():
 def test_check_pairing_mismatch():
     with pytest.raises(ValueError, match="entries"):
         cp.solve(cp.path_graph(3), cp.Configuration([1, 1]))
+
+
+def test_import_does_not_load_scipy():
+    # scipy's import time would dominate start-up of every command
+    src = str(Path(cp.__file__).resolve().parents[1])
+    probe = "import sys, coverpebbling; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

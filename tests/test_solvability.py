@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -182,11 +183,11 @@ def test_weight_monotonicity_of_single_moves():
         after = list(c.pebbles)
         after[a] -= 2
         after[b] += 1
-        d = g.distances
-        diam = d.diameter()
+        d = g.distances.tolist()
+        diam = int(g.distances.max())
         for v in range(n):
-            before_w = sum(c[u] << (diam - d[u, v]) for u in range(n))
-            after_w = sum(after[u] << (diam - d[u, v]) for u in range(n))
+            before_w = sum(c[u] << (diam - d[u][v]) for u in range(n))
+            after_w = sum(after[u] << (diam - d[u][v]) for u in range(n))
             assert after_w <= before_w
         trials += 1
 
@@ -249,6 +250,17 @@ def test_budget_exhaustion_is_reported_not_guessed():
     assert r.certificate is None
     with pytest.raises(ValueError, match="budget"):
         r.solvable  # no boolean answer available
+
+
+def test_solve_restores_the_recursion_limit():
+    # the search raises the limit to n + 200 while it runs and must put it back
+    before = sys.getrecursionlimit()
+    n = max(1000, before)
+    g = cp.path_graph(n)
+    c = cp.Configuration([1] * (n - 2) + [3, 0])
+    r = cp.solve(g, c)
+    assert r.solvable and r.fast_path == FP_SEARCH
+    assert sys.getrecursionlimit() == before
 
 
 def test_certificate_validation_and_json():
