@@ -43,6 +43,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -99,14 +105,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw random configurations")
     p.add_argument("--model", required=True, choices=["mb", "be"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--t", required=True, type=int)
+    p.add_argument("--n", required=True, type=_non_negative_int)
+    p.add_argument("--t", required=True, type=_non_negative_int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_non_negative_int, default=1)
 
     p = sub.add_parser("dist", help="exact Bose-Einstein odd-stack distribution")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--t", required=True, type=int)
+    p.add_argument("--n", required=True, type=_non_negative_int)
+    p.add_argument("--t", required=True, type=_non_negative_int)
     p.add_argument("--x", type=int)
 
     p = sub.add_parser("threshold", help="Monte Carlo solvability sweep on K_n")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -61,23 +60,18 @@ class Graph:
         return self.vertex_count <= 1 or UNREACHABLE not in self.distances[0].tolist()
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
-        seen = [False] * self.vertex_count
+        """Connected components as sorted vertex lists, ordered by smallest member.
+
+        Each component is read off the distance row of its smallest vertex.
+        """
+        seen = set()
         comps = []
         for s in range(self.vertex_count):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
+            if s not in seen:
+                row = self.distances[s].tolist()
+                comp = [v for v, d in enumerate(row) if d != UNREACHABLE]
+                seen.update(comp)
+                comps.append(comp)
         return comps
 
     def __repr__(self):
@@ -250,11 +244,22 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def _plumbing_rng(seed: int) -> np.random.Generator:
-    # same counter-based generator family as the samplers, fixed substream
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    # same counter-based generator family and key layout as the samplers, fixed substream
+    key = np.array([seed & (2**64 - 1), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-FAMILY_NAMES = ("kn", "pn", "cn", "qd", "kmulti", "tree", "gnp")
+# family name -> (builder, its parameters in call order)
+_FAMILIES = {
+    "kn": (complete_graph, ("n",)),
+    "pn": (path_graph, ("n",)),
+    "cn": (cycle_graph, ("n",)),
+    "qd": (cube_graph, ("d",)),
+    "kmulti": (complete_multipartite, ("parts",)),
+    "tree": (random_tree, ("n", "seed")),
+    "gnp": (gnp_random_graph, ("n", "p", "seed")),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def generate_family(family: str, **params) -> Graph:
@@ -263,21 +268,13 @@ def generate_family(family: str, **params) -> Graph:
     kn/pn/cn/tree take n, qd takes d, kmulti takes parts (descending),
     gnp takes n and p; tree and gnp also require seed.
     """
-    if family == "kn":
-        return complete_graph(params["n"])
-    if family == "pn":
-        return path_graph(params["n"])
-    if family == "cn":
-        return cycle_graph(params["n"])
-    if family == "qd":
-        return cube_graph(params["d"])
-    if family == "kmulti":
-        return complete_multipartite(params["parts"])
-    if family == "tree":
-        return random_tree(params["n"], params["seed"])
-    if family == "gnp":
-        return gnp_random_graph(params["n"], params["p"], params["seed"])
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    build, names = _FAMILIES[family]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"family {family} requires parameter(s) {', '.join(missing)}")
+    return build(*(params[name] for name in names))
 
 
 # ---------------------------------------------------------------------------

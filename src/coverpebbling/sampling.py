@@ -43,7 +43,9 @@ class SeededStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _MASK64, self.stream_index & _MASK64]
+        # a uint64 array: numpy passes a Python list through float64, which
+        # merges neighbouring words at and above 2^63
+        key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

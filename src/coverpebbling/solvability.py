@@ -12,7 +12,6 @@ into a legal move sequence.
 from __future__ import annotations
 
 import operator
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -281,10 +280,14 @@ def _solve_connected(g: Graph, c: Configuration, budget: int) -> SolveResult:
         if complete_graph_solvable(n, c):
             return SolveResult(SOLVABLE, _complete_graph_certificate(c), 0, FP_COMPLETE_GRAPH)
         return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
-    if _weight_rejects(g, c):
+    # reject when some empty vertex is out of reach even of fractional pebble mass
+    pot, thresh = _scaled_potentials(g, t)
+    carr = _count_array(c.pebbles, t)
+    weights = carr @ pot
+    if ((carr == 0) & (weights < thresh)).any():
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
     fast_path = FP_STACKING if t >= cover_pebbling_number(g).cover_number else FP_SEARCH
-    status, moves, nodes = _search(g, c, budget)
+    status, moves, nodes = _search(g, c, budget, pot, thresh, weights)
     if fast_path == FP_STACKING and status == UNSOLVABLE:
         raise AssertionError("search contradicted the stacking-number guarantee")
     certificate = MoveCertificate(moves) if status == SOLVABLE else None
@@ -309,14 +312,6 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     return MoveCertificate(moves)
 
 
-def _weight_rejects(g: Graph, c: Configuration) -> bool:
-    """True when some vertex cannot be covered even by fractional pebble mass."""
-    pot, thresh = _scaled_potentials(g, c.total)
-    carr = _count_array(c.pebbles, c.total)
-    weights = carr @ pot
-    return bool(((carr == 0) & (weights < thresh)).any())
-
-
 def _scaled_potentials(g: Graph, total: int):
     # pot[u][v] = 2^(diam - d(u,v)) so that "weight(v) >= 1" becomes an exact
     # integer comparison against 2^diam; int64 whenever it cannot overflow
@@ -334,10 +329,6 @@ def _count_array(pebbles, total) -> np.ndarray:
     return np.array(pebbles, dtype=dtype)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _compositions(k: int, bins: int):
     """Ordered splits of k into `bins` non-negative parts."""
     if bins == 1:
@@ -348,7 +339,7 @@ def _compositions(k: int, bins: int):
             yield (first,) + rest
 
 
-def _search(g: Graph, c: Configuration, budget: int):
+def _search(g: Graph, c: Configuration, budget: int, pot, thresh, weights):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
@@ -360,16 +351,16 @@ def _search(g: Graph, c: Configuration, budget: int):
     pair (configuration, fired set).  Pruning: a child is cut when its
     total drops below the vertex count, or when some empty vertex exceeds
     the reach of the weighted mass 2^-dist of still-unfired vertices.
+
+    `pot`, `thresh` and `weights` are the scaled potentials, the cover
+    threshold and the root's weight vector from _solve_connected.  The
+    depth-first search runs as a loop over an explicit stack holding one
+    child generator per node on the current path, so it needs no recursion.
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    t0 = c.total
-    pot, thresh = _scaled_potentials(g, t0)
     pot_rows = [pot[u] for u in range(n)]
-    carr0 = list(c.pebbles)
-    weights0 = _count_array(c.pebbles, t0) @ pot
-    small_counts = t0 < 256
-    key_of = bytes if small_counts else tuple
+    key_of = bytes if c.total < 256 else tuple
 
     comp_cache = {}
 
@@ -381,17 +372,9 @@ def _search(g: Graph, c: Configuration, budget: int):
         return cached
 
     visited = set()
-    path = []
-    nodes = 0
 
-    def fire(carr, fired, t, weights):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted
-        empties = [v for v, x in enumerate(carr) if x == 0]
-        if not empties:
-            return True
+    def children(carr, fired, t, weights, empties):
+        """Unvisited, unpruned children in rank order, with their empty vertices."""
         # rank branches: cover deficits first, then best leverage toward one
         reach = pot[:, empties].max(axis=1).tolist()
         candidates = []
@@ -437,33 +420,33 @@ def _search(g: Graph, c: Configuration, budget: int):
             for b, m in zip(targets, vec):
                 if m:
                     w2 += m * pot_rows[b]
-            prune = False
             for e in empties:
                 if child[e] == 0 and w2[e] < thresh:
-                    prune = True
                     break
-            if prune:
-                continue
-            path.append((u, targets, vec))
-            if fire(child, fired2, t - k, w2):
-                return True
-            path.pop()
-        return False
+            else:
+                # a firing leaves its source covered, so only old empties can stay empty
+                left = [e for e in empties if child[e] == 0]
+                yield (u, targets, vec), child, fired2, t - k, w2, left
 
-    # recursion depth is bounded by the number of firings, at most n
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, n + 200))
-    try:
-        found = fire(carr0, 0, t0, weights0)
-    except _BudgetExhausted:
+    nodes = 1  # the root
+    if nodes > budget:
         return UNDECIDED, None, nodes
-    finally:
-        sys.setrecursionlimit(limit)
-    if not found:
-        return UNSOLVABLE, None, nodes
-    moves = {}
-    for u, targets, vec in path:
-        for b, m in zip(targets, vec):
-            if m:
-                moves[(u, b)] = moves.get((u, b), 0) + m
-    return SOLVABLE, moves, nodes
+    root_empties = [v for v, x in enumerate(c.pebbles) if x == 0]
+    # one (move into the node, generator of its children) frame per node on the path
+    stack = [(None, children(list(c.pebbles), 0, c.total, weights, root_empties))]
+    while stack:
+        node = next(stack[-1][1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return UNDECIDED, None, nodes
+        move, carr, fired, t, w, empties = node
+        if not empties:
+            # each vertex fires at most once on a path, so every (u, b) occurs once
+            path = [m for m, _ in stack[1:]] + [move]
+            moves = {(u, b): m for u, targets, vec in path for b, m in zip(targets, vec) if m}
+            return SOLVABLE, moves, nodes
+        stack.append((move, children(carr, fired, t, w, empties)))
+    return UNSOLVABLE, None, nodes

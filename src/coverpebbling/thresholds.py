@@ -77,15 +77,7 @@ def estimate_solvable_probability(
     model: RandomModel, n: int, t: int, trials: int, seed: int
 ) -> SweepRecord:
     """Draw `trials` configurations on K_n and count the cover-solvable ones."""
-    model = RandomModel(model)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= t < _T_STRIDE:
-        raise ValueError(f"t out of range for stream indexing: {t}")
-    solvable = _count_solvable((model.value, n, t, 0, trials, seed))
-    return SweepRecord(model, n, t, trials, solvable, seed)
+    return sweep(model, n, t, t, 1, trials, seed).records[0]
 
 
 def sweep(
@@ -110,6 +102,11 @@ def sweep(
         raise ValueError("step must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if t_min < 0 or t_max >= _T_STRIDE:
+        raise ValueError(f"pebble counts must lie in 0..{_T_STRIDE - 1} for stream "
+                         f"indexing, got {t_min}..{t_max}")
     ts = list(range(t_min, t_max + 1, step))
     if workers <= 1:
         totals = {t: _count_solvable((model.value, n, t, 0, trials, seed)) for t in ts}

@@ -84,6 +84,21 @@ def test_sample_deterministic_and_shaped(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["dist", "--n", "5", "--t", "-1"], "--t"),
+    (["dist", "--n", "-5", "--t", "3"], "--n"),
+    (["sample", "--model", "mb", "--n", "5", "--t", "3", "--seed", "1", "--count", "-2"],
+     "--count"),
+    (["sample", "--model", "mb", "--n", "5", "--t", "-3", "--seed", "1"], "--t"),
+    (["sample", "--model", "be", "--n", "-5", "--t", "3", "--seed", "1"], "--n"),
+], ids=["dist-t", "dist-n", "sample-count", "sample-t", "sample-n"])
+def test_negative_counts_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 64
+    assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_dist_output(capsys):
     assert run_cli(["dist", "--n", "2", "--t", "2", "--x", "0"]) == 0
     assert capsys.readouterr().out.strip() == "2/3"

@@ -57,6 +57,8 @@ def test_isolated_vertices_are_unreachable():
     assert not g.is_connected()
     with pytest.raises(ValueError, match="vertices 0 and 1"):
         cp.cover_pebbling_number(g)
+    assert g.components() == [[0], [1]]
+    assert cp.build_graph(6, [(4, 1), (2, 5)]).components() == [[0], [1, 4], [2, 5], [3]]
 
 
 def test_distances_axioms_random():
@@ -111,6 +113,10 @@ def test_family_parameter_validation():
         cp.complete_graph(0)
     with pytest.raises(ValueError):
         cp.generate_family("nosuch", n=3)
+    with pytest.raises(ValueError, match="family qd requires parameter.* d"):
+        cp.generate_family("qd")
+    with pytest.raises(ValueError, match="family gnp requires parameter.* p, seed"):
+        cp.generate_family("gnp", n=4)
 
 
 def test_generate_family_dispatch():
@@ -131,6 +137,7 @@ def test_random_tree_properties():
         assert g.is_connected()
     assert cp.random_tree(9, seed=5).edges == cp.random_tree(9, seed=5).edges
     assert cp.random_tree(9, seed=5).edges != cp.random_tree(9, seed=6).edges
+    assert cp.random_tree(9, seed=-1).edges != cp.random_tree(9, seed=0).edges
 
 
 def test_gnp_extremes_and_determinism():

@@ -18,6 +18,16 @@ def test_streams_are_reproducible_and_distinct():
     assert cp.sample_be_polya(10, 20, SeededStream(124, 7)) != cp.sample_be_polya(10, 20, s)
 
 
+@pytest.mark.parametrize("a, b", [
+    (SeededStream(-1), SeededStream(0)),  # -1 keys as 2^64 - 1
+    (SeededStream(2**63), SeededStream(2**63 + 1)),
+    (SeededStream(5, 2**63), SeededStream(5, 2**63 + 1)),
+], ids=["seed-minus-1", "seed-2^63", "index-2^63"])
+def test_key_words_at_and_above_2_to_63_stay_distinct(a, b):
+    assert cp.sample_mb(10, 20, a) != cp.sample_mb(10, 20, b)
+    assert a.generator().integers(0, 2**62, 4).tolist() != b.generator().integers(0, 2**62, 4).tolist()
+
+
 @pytest.mark.parametrize("sampler", [cp.sample_mb, cp.sample_be_polya,
                                      cp.sample_be_stars_and_bars])
 def test_sampler_degenerate_cases(sampler):

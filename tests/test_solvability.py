@@ -248,18 +248,32 @@ def test_budget_exhaustion_is_reported_not_guessed():
     r = cp.solve(g, c, budget=1)
     assert r.undecided and r.status == cp.UNDECIDED
     assert r.certificate is None
+    # the root counts as a node, so a zero budget stops before it
+    r = cp.solve(g, c, budget=0)
+    assert r.undecided and r.nodes_expanded == 1
     with pytest.raises(ValueError, match="budget"):
         r.solvable  # no boolean answer available
 
 
-def test_solve_restores_the_recursion_limit():
-    # the search raises the limit to n + 200 while it runs and must put it back
+def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"solve() changed the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     before = sys.getrecursionlimit()
     n = max(1000, before)
     g = cp.path_graph(n)
     c = cp.Configuration([1] * (n - 2) + [3, 0])
     r = cp.solve(g, c)
     assert r.solvable and r.fast_path == FP_SEARCH
+
+    # a chain of 299 nested firings, each passing one pebble down the path
+    g = cp.path_graph(300)
+    c = cp.Configuration([3] + [2] * 298 + [0])
+    r = cp.solve(g, c)
+    assert r.solvable and r.nodes_expanded == 300
+    assert r.certificate.moves == {(i, i + 1): 1 for i in range(299)}
+    assert cp.verify_certificate(g, c, r.certificate)
     assert sys.getrecursionlimit() == before
 
 

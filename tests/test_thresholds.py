@@ -58,12 +58,23 @@ def test_sweep_worker_count_does_not_change_output():
 
 
 def test_sweep_validation():
-    with pytest.raises(ValueError):
-        cp.sweep(RandomModel.BOSE_EINSTEIN, 5, 10, 5, 1, 10, seed=1)
-    with pytest.raises(ValueError):
-        cp.sweep(RandomModel.BOSE_EINSTEIN, 5, 5, 10, 0, 10, seed=1)
-    with pytest.raises(ValueError):
-        cp.estimate_solvable_probability(RandomModel.BOSE_EINSTEIN, 5, 5, 0, 1)
+    bad = [
+        (5, 10, 5, 1, 10),  # t_min above t_max
+        (5, 5, 10, 0, 10),  # step
+        (5, 5, 5, 1, 0),  # trials
+        (0, 5, 5, 1, 3),  # no vertices
+        (-2, 5, 5, 1, 3),
+        (5, -3, -1, 1, 3),  # negative pebble counts
+        (5, 2**32, 2**32, 1, 3),  # would alias the streams of t = 0
+        (5, 0, 2**32, 2**32, 3),
+    ]
+    for model in RandomModel:
+        for n, t_min, t_max, step, trials in bad:
+            with pytest.raises(ValueError):
+                cp.sweep(model, n, t_min, t_max, step, trials, seed=1)
+            if t_min == t_max and step == 1:
+                with pytest.raises(ValueError):
+                    cp.estimate_solvable_probability(model, n, t_min, trials, 1)
 
 
 def test_crossing_point_interpolation():
