@@ -13,7 +13,7 @@ import sys
 
 from . import reduction, sampling, solvability, thresholds
 from .graphs import (
-    FAMILY_NAMES,
+    FAMILIES,
     configuration_from_dict,
     configuration_to_dict,
     generate_family,
@@ -53,6 +53,10 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _parts(text: str) -> list:
+    return [_positive_int(r) for r in text.split(",")]
 
 
 def _load_json(path: str) -> dict:
@@ -117,13 +121,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("threshold", help="Monte Carlo solvability sweep on K_n")
     p.add_argument("--model", required=True, choices=["mb", "be"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--t-min", required=True, type=int)
-    p.add_argument("--t-max", required=True, type=int)
-    p.add_argument("--step", required=True, type=int)
-    p.add_argument("--trials", required=True, type=int)
+    p.add_argument("--n", required=True, type=_positive_int)
+    p.add_argument("--t-min", required=True, type=_non_negative_int)
+    p.add_argument("--t-max", required=True, type=_non_negative_int)
+    p.add_argument("--step", required=True, type=_positive_int)
+    p.add_argument("--trials", required=True, type=_positive_int)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--crossing", action="store_true")
     p.add_argument("--out")
 
@@ -136,10 +140,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph family")
-    p.add_argument("--family", required=True, choices=list(FAMILY_NAMES))
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--parts", help="comma-separated descending part sizes")
+    p.add_argument("--parts", type=_parts, help="comma-separated descending part sizes")
     p.add_argument("--p", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -234,29 +238,11 @@ def _cmd_xcover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    family = args.family
-    if family in ("kn", "pn", "cn", "tree", "gnp"):
-        if args.n is None:
-            raise _UsageError(f"family {family} requires --n")
-        params["n"] = args.n
-    if family == "qd":
-        if args.d is None:
-            raise _UsageError("family qd requires --d")
-        params["d"] = args.d
-    if family == "kmulti":
-        if not args.parts:
-            raise _UsageError("family kmulti requires --parts")
-        params["parts"] = [int(r) for r in args.parts.split(",")]
-    if family == "gnp":
-        if args.p is None:
-            raise _UsageError("family gnp requires --p")
-        params["p"] = args.p
-    if family in ("tree", "gnp"):
-        if args.seed is None:
-            raise _UsageError(f"family {family} requires --seed")
-        params["seed"] = args.seed
-    _write_json(args.out, graph_to_dict(generate_family(family, **params)))
+    params = {name: getattr(args, name) for name in FAMILIES[args.family][1]}
+    missing = [f"--{name}" for name, value in params.items() if value is None]
+    if missing:
+        raise _UsageError(f"family {args.family} requires {' and '.join(missing)}")
+    _write_json(args.out, graph_to_dict(generate_family(args.family, **params)))
     return EXIT_OK
 
 

@@ -188,7 +188,10 @@ def cube_graph(d: int) -> Graph:
 
 def complete_multipartite(parts) -> Graph:
     """K_{r1,...,rm} with parts listed in descending order."""
-    parts = [int(r) for r in parts]
+    try:
+        parts = [operator.index(r) for r in parts]
+    except TypeError as exc:
+        raise ValueError(f"multipartite parts must be integers: {exc}") from exc
     if not parts or any(r < 1 for r in parts):
         raise ValueError("multipartite parts must be positive")
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -250,7 +253,7 @@ def _plumbing_rng(seed: int) -> np.random.Generator:
 
 
 # family name -> (builder, its parameters in call order)
-_FAMILIES = {
+FAMILIES = {
     "kn": (complete_graph, ("n",)),
     "pn": (path_graph, ("n",)),
     "cn": (cycle_graph, ("n",)),
@@ -259,18 +262,14 @@ _FAMILIES = {
     "tree": (random_tree, ("n", "seed")),
     "gnp": (gnp_random_graph, ("n", "p", "seed")),
 }
-FAMILY_NAMES = tuple(_FAMILIES)
+FAMILY_NAMES = tuple(FAMILIES)
 
 
 def generate_family(family: str, **params) -> Graph:
-    """Build a named family; `family` is one of FAMILY_NAMES.
-
-    kn/pn/cn/tree take n, qd takes d, kmulti takes parts (descending),
-    gnp takes n and p; tree and gnp also require seed.
-    """
-    if family not in _FAMILIES:
+    """Build a named family from the keyword parameters FAMILIES lists for it."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
-    build, names = _FAMILIES[family]
+    build, names = FAMILIES[family]
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"family {family} requires parameter(s) {', '.join(missing)}")

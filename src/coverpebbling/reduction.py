@@ -81,35 +81,40 @@ class ReductionOutput:
     labels: dict
 
 
+def _layout(x: X4CInstance):
+    """Bases of B, B' and B'' and the drain path v, u1, ..., w as a range.
+
+    T takes vertices 0..4n-1; B, B' and B'' follow with m vertices each, and
+    the drain path of length m-n closes the numbering.
+    """
+    _require_valid(x)
+    n, m = x.n, x.m
+    if m <= n:
+        raise ValueError(f"reduction needs m > n subsets, got m={m}, n={n}")
+    b = 4 * n
+    v = b + 3 * m
+    return b, b + m, b + 2 * m, range(v, v + m - n + 1)
+
+
 def build_reduction(x: X4CInstance) -> ReductionOutput:
     """Literal gadget construction; 3n + 4m + 1 vertices and 8m - n edges.
 
     Rejects m == n: the drain path would have length zero, identifying v
     and w with contradictory pebble assignments.
     """
-    _require_valid(x)
-    n, m = x.n, x.m
-    if m <= n:
-        raise ValueError(f"reduction needs m > n subsets, got m={m}, n={n}")
-    span = m - n
-    t_base = 0
-    b_base = 4 * n
-    b1_base = b_base + m
-    b2_base = b1_base + m
-    v_vertex = b2_base + m
-    u_base = v_vertex + 1
-    w_vertex = u_base + (span - 1)
+    b_base, b1_base, b2_base, drain = _layout(x)
+    m, span = x.m, len(drain) - 1
+    v_vertex = drain[0]
 
     edges = []
     for i, subset in enumerate(x.sets):
         for element in subset:
-            edges.append((b_base + i, t_base + element))
+            edges.append((b_base + i, element))
         edges.append((b_base + i, b1_base + i))
         edges.append((b1_base + i, b2_base + i))
         edges.append((b2_base + i, v_vertex))
-    drain = [v_vertex] + [u_base + k for k in range(span - 1)] + [w_vertex]
     edges.extend(zip(drain, drain[1:]))
-    graph = build_graph(w_vertex + 1, edges)
+    graph = build_graph(drain[-1] + 1, edges)
 
     pebbles = [0] * graph.vertex_count
     for i in range(m):
@@ -117,18 +122,18 @@ def build_reduction(x: X4CInstance) -> ReductionOutput:
         pebbles[b1_base + i] = 1
         pebbles[b2_base + i] = 1
     pebbles[v_vertex] = 2**span - span + 1
-    for k in range(span - 1):
-        pebbles[u_base + k] = 1
+    for u in drain[1:-1]:
+        pebbles[u] = 1
 
-    labels = {t_base + j: f"T{j}" for j in range(4 * n)}
+    labels = {j: f"T{j}" for j in range(b_base)}
     for i in range(m):
         labels[b_base + i] = f"B{i}"
         labels[b1_base + i] = f"B'{i}"
         labels[b2_base + i] = f"B''{i}"
     labels[v_vertex] = "v"
-    for k in range(span - 1):
-        labels[u_base + k] = f"u{k + 1}"
-    labels[w_vertex] = "w"
+    for k, u in enumerate(drain[1:-1], 1):
+        labels[u] = f"u{k}"
+    labels[drain[-1]] = "w"
     return ReductionOutput(graph, Configuration(pebbles), labels)
 
 
@@ -152,16 +157,9 @@ def cover_witness_certificate(x: X4CInstance, cover) -> MoveCertificate:
     subset vertex relays one pebble to the collector through its buffer
     chain; the collector halves its pile down the drain path.
     """
-    _require_valid(x)
-    n, m = x.n, x.m
-    span = m - n
+    b_base, b1_base, b2_base, drain = _layout(x)
+    span = len(drain) - 1
     cover = set(cover)
-    b_base = 4 * n
-    b1_base = b_base + m
-    b2_base = b1_base + m
-    v_vertex = b2_base + m
-    u_base = v_vertex + 1
-    w_vertex = u_base + (span - 1)
 
     moves = {}
     for i, subset in enumerate(x.sets):
@@ -171,8 +169,7 @@ def cover_witness_certificate(x: X4CInstance, cover) -> MoveCertificate:
         else:
             moves[(b_base + i, b1_base + i)] = 4
             moves[(b1_base + i, b2_base + i)] = 2
-            moves[(b2_base + i, v_vertex)] = 1
-    drain = [v_vertex] + [u_base + k for k in range(span - 1)] + [w_vertex]
+            moves[(b2_base + i, drain[0])] = 1
     for k, (a, b) in enumerate(zip(drain, drain[1:])):
         moves[(a, b)] = 2 ** (span - 1 - k)
     return MoveCertificate(moves)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Configuration, Graph, build_graph, check_pairing
-from .stacking import cover_pebbling_number
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -282,11 +281,13 @@ def _solve_connected(g: Graph, c: Configuration, budget: int) -> SolveResult:
         return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
     # reject when some empty vertex is out of reach even of fractional pebble mass
     pot, thresh = _scaled_potentials(g, t)
-    carr = _count_array(c.pebbles, t)
+    carr = np.array(c.pebbles, dtype=pot.dtype)
     weights = carr @ pot
     if ((carr == 0) & (weights < thresh)).any():
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    fast_path = FP_STACKING if t >= cover_pebbling_number(g).cover_number else FP_SEARCH
+    # thresh // pot is 2^dist, so its largest row sum is the cover pebbling
+    # number (the largest stacking weight); below n << diam <= t << diam on int64
+    fast_path = FP_STACKING if t >= (thresh // pot).sum(axis=1).max() else FP_SEARCH
     status, moves, nodes = _search(g, c, budget, pot, thresh, weights)
     if fast_path == FP_STACKING and status == UNSOLVABLE:
         raise AssertionError("search contradicted the stacking-number guarantee")
@@ -314,7 +315,8 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
 
 def _scaled_potentials(g: Graph, total: int):
     # pot[u][v] = 2^(diam - d(u,v)) so that "weight(v) >= 1" becomes an exact
-    # integer comparison against 2^diam; int64 whenever it cannot overflow
+    # integer comparison against 2^diam; int64 whenever no weight of `total`
+    # pebbles can overflow, and the caller's pebble counts take the same dtype
     dist = g.distances
     diam = int(dist.max())
     if diam <= 60 and total << diam < 2**62:
@@ -322,11 +324,6 @@ def _scaled_potentials(g: Graph, total: int):
     else:
         pot = np.array([[1 << (diam - d) for d in row] for row in dist.tolist()], dtype=object)
     return pot, 1 << diam
-
-
-def _count_array(pebbles, total) -> np.ndarray:
-    dtype = np.int64 if total < 2**62 else object
-    return np.array(pebbles, dtype=dtype)
 
 
 def _compositions(k: int, bins: int):

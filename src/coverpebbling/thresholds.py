@@ -104,11 +104,13 @@ def sweep(
         raise ValueError("need at least one trial")
     if n < 1:
         raise ValueError("need n >= 1")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if t_min < 0 or t_max >= _T_STRIDE:
         raise ValueError(f"pebble counts must lie in 0..{_T_STRIDE - 1} for stream "
                          f"indexing, got {t_min}..{t_max}")
     ts = list(range(t_min, t_max + 1, step))
-    if workers <= 1:
+    if workers == 1:
         totals = {t: _count_solvable((model.value, n, t, 0, trials, seed)) for t in ts}
     else:
         chunk = max(1, -(-trials // (workers * 4)))

@@ -99,6 +99,27 @@ def test_negative_counts_are_usage_errors(capsys, argv, option):
     assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
 
 
+_THRESHOLD = {"--n": "4", "--t-min": "4", "--t-max": "8", "--step": "2", "--trials": "3",
+              "--seed": "1"}
+
+
+@pytest.mark.parametrize("option, value, kind", [
+    ("--n", "0", "positive"),
+    ("--step", "0", "positive"),
+    ("--trials", "0", "positive"),
+    ("--workers", "0", "positive"),
+    ("--workers", "-3", "positive"),
+    ("--t-min", "-5", "non-negative"),
+    ("--t-max", "-1", "non-negative"),
+])
+def test_threshold_arguments_are_usage_errors(capsys, option, value, kind):
+    args = {**_THRESHOLD, option: value}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["threshold", "--model", "mb", *(x for pair in args.items() for x in pair)])
+    assert exc.value.code == 64
+    assert f"argument {option}: expected a {kind} integer" in capsys.readouterr().err
+
+
 def test_dist_output(capsys):
     assert run_cli(["dist", "--n", "2", "--t", "2", "--x", "0"]) == 0
     assert capsys.readouterr().out.strip() == "2/3"
@@ -174,6 +195,22 @@ def test_gen_missing_parameter_is_usage_error(tmp_path, capsys):
         run_cli(["gen", "--family", "kmulti", "--out", str(tmp_path / "g.json")])
     assert exc.value.code == 64
     assert "--parts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parts", ["3,x", "2.5,1"])
+def test_gen_parts_must_be_positive_integers(tmp_path, capsys, parts):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gen", "--family", "kmulti", "--parts", parts, "--out", str(tmp_path / "g")])
+    assert exc.value.code == 64
+    assert "argument --parts: expected a positive integer" in capsys.readouterr().err
+
+
+def test_gen_names_every_missing_parameter(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gen", "--family", "tree", "--out", str(tmp_path / "g.json")])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "--n" in err and "--seed" in err
 
 
 def test_usage_errors_exit_64():

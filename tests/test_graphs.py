@@ -109,6 +109,10 @@ def test_family_parameter_validation():
         cp.cube_graph(-1)
     with pytest.raises(ValueError):
         cp.complete_multipartite([1, 2])  # not descending
+    with pytest.raises(ValueError, match="integers"):
+        cp.complete_multipartite([2.5, 1])
+    with pytest.raises(ValueError, match="integers"):
+        cp.generate_family("kmulti", parts=[2.9, 1.2])
     with pytest.raises(ValueError):
         cp.complete_graph(0)
     with pytest.raises(ValueError):

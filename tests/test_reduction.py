@@ -54,8 +54,11 @@ def test_build_reduction_longer_drain():
 
 
 def test_build_reduction_rejects_m_equal_n():
+    square = cp.X4CInstance(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
     with pytest.raises(ValueError, match="m > n"):
-        cp.build_reduction(cp.X4CInstance(8, [[0, 1, 2, 3], [4, 5, 6, 7]]))
+        cp.build_reduction(square)
+    with pytest.raises(ValueError, match="m > n"):
+        cp.cover_witness_certificate(square, [0, 1])
     with pytest.raises(ValueError, match="invalid"):
         cp.build_reduction(cp.X4CInstance(6, [[0, 1, 2, 3]]))
 

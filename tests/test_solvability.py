@@ -255,6 +255,23 @@ def test_budget_exhaustion_is_reported_not_guessed():
         r.solvable  # no boolean answer available
 
 
+@pytest.mark.parametrize("g, lam", [
+    (cp.path_graph(64), 2**64 - 1),  # object potentials: diameter above 60
+    (cp.path_graph(200), 2**200 - 1),
+    (cp.path_graph(40), 2**40 - 1),  # object potentials: the pebble total shifted by 39
+    (cp.cube_graph(3), 27),  # int64 potentials
+], ids=["P64", "P200", "P40", "Q3"])
+def test_stacking_tag_at_the_cover_number_boundary(monkeypatch, g, lam):
+    def refuse(*args):
+        raise AssertionError("solve() recomputed a stacking weight")
+
+    monkeypatch.setattr("coverpebbling.stacking.stacking_weight", refuse)
+    n = g.vertex_count
+    for t, tag in ((lam, FP_STACKING), (lam - 1, FP_SEARCH)):
+        r = cp.solve(g, cp.Configuration([t] + [0] * (n - 1)), budget=0)
+        assert (r.status, r.nodes_expanded, r.fast_path) == (cp.UNDECIDED, 1, tag)
+
+
 def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError(f"solve() changed the recursion limit to {limit}")

@@ -75,6 +75,9 @@ def test_sweep_validation():
             if t_min == t_max and step == 1:
                 with pytest.raises(ValueError):
                     cp.estimate_solvable_probability(model, n, t_min, trials, 1)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="worker"):
+                cp.sweep(model, 5, 5, 5, 1, 3, seed=1, workers=workers)
 
 
 def test_crossing_point_interpolation():
