@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (or solvable / cover found), 1 unsolvable / no cover,
-2 undecided within the node budget, 64 usage error, 65 unreadable or
-invalid input file.
+2 undecided within the node budget, 64 usage error (including an option
+value the library rejects and an output path that cannot be written), 65
+unreadable or invalid input file.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ EXIT_NEGATIVE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 EXIT_INPUT = 65
-
-
-class _InputError(Exception):
-    pass
 
 
 class _UsageError(Exception):
@@ -64,15 +61,21 @@ def _load_json(path: str) -> dict:
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+    _write_text(path, json.dumps(payload) + "\n")
 
 
 def _load_graph(path: str):
@@ -115,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_non_negative_int, default=1)
 
     p = sub.add_parser("dist", help="exact Bose-Einstein odd-stack distribution")
-    p.add_argument("--n", required=True, type=_non_negative_int)
+    p.add_argument("--n", required=True, type=_positive_int)
     p.add_argument("--t", required=True, type=_non_negative_int)
     p.add_argument("--x", type=int)
 
@@ -214,8 +217,7 @@ def _cmd_threshold(args) -> int:
     )
     text = thresholds.curve_to_csv(curve, include_crossing=args.crossing)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -246,29 +248,31 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, reads input files): a ValueError means a bad input
+# file if it does, else an option value the library rejected
 _COMMANDS = {
-    "lambda": _cmd_lambda,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "dist": _cmd_dist,
-    "threshold": _cmd_threshold,
-    "reduce": _cmd_reduce,
-    "xcover": _cmd_xcover,
-    "gen": _cmd_gen,
+    "lambda": (_cmd_lambda, True),
+    "solve": (_cmd_solve, True),
+    "verify": (_cmd_verify, True),
+    "sample": (_cmd_sample, False),
+    "dist": (_cmd_dist, False),
+    "threshold": (_cmd_threshold, False),
+    "reduce": (_cmd_reduce, True),
+    "xcover": (_cmd_xcover, True),
+    "gen": (_cmd_gen, False),
 }
 
 
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, reads_files = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        return handler(args)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if reads_files and not isinstance(exc, _UsageError):
+            return EXIT_INPUT
         raise SystemExit(EXIT_USAGE) from exc
-    except (_InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main() -> None:

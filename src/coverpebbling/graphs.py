@@ -216,7 +216,8 @@ def random_tree(n: int, seed: int) -> Graph:
         return Graph(1, [])
     if n == 2:
         return Graph(2, [(0, 1)])
-    rng = _plumbing_rng(seed)
+    from .sampling import SeededStream  # here, because sampling imports graphs
+    rng = SeededStream(seed, 0).generator()
     prufer = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for v in prufer:
@@ -240,16 +241,11 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("gnp requires n >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = _plumbing_rng(seed)
+    from .sampling import SeededStream  # here, because sampling imports graphs
+    rng = SeededStream(seed, 0).generator()
     pairs = list(combinations(range(n), 2))
     keep = rng.random(len(pairs)) < p
     return Graph(n, (e for e, k in zip(pairs, keep) if k))
-
-
-def _plumbing_rng(seed: int) -> np.random.Generator:
-    # same counter-based generator family and key layout as the samplers, fixed substream
-    key = np.array([seed & (2**64 - 1), 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 # family name -> (builder, its parameters in call order)

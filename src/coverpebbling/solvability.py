@@ -15,8 +15,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Configuration, Graph, build_graph, check_pairing
 
 SOLVABLE = "solvable"
@@ -279,16 +277,20 @@ def _solve_connected(g: Graph, c: Configuration, budget: int) -> SolveResult:
         if complete_graph_solvable(n, c):
             return SolveResult(SOLVABLE, _complete_graph_certificate(c), 0, FP_COMPLETE_GRAPH)
         return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
-    # reject when some empty vertex is out of reach even of fractional pebble mass
-    pot, thresh = _scaled_potentials(g, t)
-    carr = np.array(c.pebbles, dtype=pot.dtype)
-    weights = carr @ pot
-    if ((carr == 0) & (weights < thresh)).any():
+    # reject when some empty vertex is out of reach even of fractional pebble mass;
+    # pot[u][v] = 2^(diam - d(u,v)) makes "weight >= 1" an exact int test against 2^diam
+    dist = g.distances.tolist()
+    diam = max(map(max, dist))
+    thresh = 1 << diam
+    pot = [[1 << (diam - d) for d in row] for row in dist]
+    empties = [v for v, x in enumerate(c.pebbles) if x == 0]
+    weights = [sum(map(operator.mul, c.pebbles, pot[e])) for e in empties]  # pot is symmetric
+    if min(weights) < thresh:
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    # thresh // pot is 2^dist, so its largest row sum is the cover pebbling
-    # number (the largest stacking weight); below n << diam <= t << diam on int64
-    fast_path = FP_STACKING if t >= (thresh // pot).sum(axis=1).max() else FP_SEARCH
-    status, moves, nodes = _search(g, c, budget, pot, thresh, weights)
+    # the cover pebbling number is the largest stacking weight sum_v 2^d(u,v)
+    lam = max(sum(1 << d for d in row) for row in dist)
+    fast_path = FP_STACKING if t >= lam else FP_SEARCH
+    status, moves, nodes = _search(g, c, budget, pot, thresh, empties, weights)
     if fast_path == FP_STACKING and status == UNSOLVABLE:
         raise AssertionError("search contradicted the stacking-number guarantee")
     certificate = MoveCertificate(moves) if status == SOLVABLE else None
@@ -313,19 +315,6 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     return MoveCertificate(moves)
 
 
-def _scaled_potentials(g: Graph, total: int):
-    # pot[u][v] = 2^(diam - d(u,v)) so that "weight(v) >= 1" becomes an exact
-    # integer comparison against 2^diam; int64 whenever no weight of `total`
-    # pebbles can overflow, and the caller's pebble counts take the same dtype
-    dist = g.distances
-    diam = int(dist.max())
-    if diam <= 60 and total << diam < 2**62:
-        pot = np.left_shift(np.int64(1), diam - dist)
-    else:
-        pot = np.array([[1 << (diam - d) for d in row] for row in dist.tolist()], dtype=object)
-    return pot, 1 << diam
-
-
 def _compositions(k: int, bins: int):
     """Ordered splits of k into `bins` non-negative parts."""
     if bins == 1:
@@ -336,7 +325,7 @@ def _compositions(k: int, bins: int):
             yield (first,) + rest
 
 
-def _search(g: Graph, c: Configuration, budget: int, pot, thresh, weights):
+def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weights):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
@@ -349,14 +338,14 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, weights):
     total drops below the vertex count, or when some empty vertex exceeds
     the reach of the weighted mass 2^-dist of still-unfired vertices.
 
-    `pot`, `thresh` and `weights` are the scaled potentials, the cover
-    threshold and the root's weight vector from _solve_connected.  The
-    depth-first search runs as a loop over an explicit stack holding one
+    `pot` (2^(diam - dist), Python ints) and `thresh` (2^diam) come from
+    _solve_connected; `weights[i]` is the pebble mass sum_u C(u) pot[u][e] at
+    the i-th vertex e of `empties`, kept only at a node's own empty vertices.
+    The depth-first search runs as a loop over an explicit stack holding one
     child generator per node on the current path, so it needs no recursion.
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    pot_rows = [pot[u] for u in range(n)]
     key_of = bytes if c.total < 256 else tuple
 
     comp_cache = {}
@@ -373,7 +362,8 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, weights):
     def children(carr, fired, t, weights, empties):
         """Unvisited, unpruned children in rank order, with their empty vertices."""
         # rank branches: cover deficits first, then best leverage toward one
-        reach = pot[:, empties].max(axis=1).tolist()
+        # pot is symmetric, so reach[b] = max over empties e of pot[e][b]
+        reach = list(map(max, pot[empties[0]], *(pot[e] for e in empties)))
         candidates = []
         targets_of = {}
         waste = t - n
@@ -413,24 +403,28 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, weights):
             if key in visited:
                 continue
             visited.add(key)
-            w2 = weights - carr[u] * pot_rows[u]
-            for b, m in zip(targets, vec):
-                if m:
-                    w2 += m * pot_rows[b]
-            for e in empties:
-                if child[e] == 0 and w2[e] < thresh:
+            # the fired source's mass leaves; a firing leaves it covered, so
+            # only old empties can stay empty
+            moved = [(pot[u], -carr[u])] + [(pot[b], m) for b, m in zip(targets, vec) if m]
+            left = []
+            w2 = []
+            for e, w in zip(empties, weights):
+                if child[e]:
+                    continue
+                for row, m in moved:
+                    w += m * row[e]
+                if w < thresh:
                     break
+                left.append(e)
+                w2.append(w)
             else:
-                # a firing leaves its source covered, so only old empties can stay empty
-                left = [e for e in empties if child[e] == 0]
                 yield (u, targets, vec), child, fired2, t - k, w2, left
 
     nodes = 1  # the root
     if nodes > budget:
         return UNDECIDED, None, nodes
-    root_empties = [v for v, x in enumerate(c.pebbles) if x == 0]
     # one (move into the node, generator of its children) frame per node on the path
-    stack = [(None, children(list(c.pebbles), 0, c.total, weights, root_empties))]
+    stack = [(None, children(list(c.pebbles), 0, c.total, weights, empties))]
     while stack:
         node = next(stack[-1][1], None)
         if node is None:

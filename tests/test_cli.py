@@ -84,19 +84,20 @@ def test_sample_deterministic_and_shaped(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["dist", "--n", "5", "--t", "-1"], "--t"),
-    (["dist", "--n", "-5", "--t", "3"], "--n"),
+@pytest.mark.parametrize("argv, option, kind", [
+    (["dist", "--n", "5", "--t", "-1"], "--t", "non-negative"),
+    (["dist", "--n", "-5", "--t", "3"], "--n", "positive"),
+    (["dist", "--n", "0", "--t", "3"], "--n", "positive"),
     (["sample", "--model", "mb", "--n", "5", "--t", "3", "--seed", "1", "--count", "-2"],
-     "--count"),
-    (["sample", "--model", "mb", "--n", "5", "--t", "-3", "--seed", "1"], "--t"),
-    (["sample", "--model", "be", "--n", "-5", "--t", "3", "--seed", "1"], "--n"),
-], ids=["dist-t", "dist-n", "sample-count", "sample-t", "sample-n"])
-def test_negative_counts_are_usage_errors(capsys, argv, option):
+     "--count", "non-negative"),
+    (["sample", "--model", "mb", "--n", "5", "--t", "-3", "--seed", "1"], "--t", "non-negative"),
+    (["sample", "--model", "be", "--n", "-5", "--t", "3", "--seed", "1"], "--n", "non-negative"),
+], ids=["dist-t", "dist-n", "dist-n-zero", "sample-count", "sample-t", "sample-n"])
+def test_negative_counts_are_usage_errors(capsys, argv, option, kind):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 64
-    assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+    assert f"argument {option}: expected a {kind} integer" in capsys.readouterr().err
 
 
 _THRESHOLD = {"--n": "4", "--t-min": "4", "--t-max": "8", "--step": "2", "--trials": "3",
@@ -268,3 +269,44 @@ def test_non_integer_certificate_and_instance_are_rejected(p3, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--model", "mb", "--n", "4", "--t-min", "10", "--t-max", "5", "--step", "1",
+     "--trials", "2", "--seed", "1"],
+    ["gen", "--family", "cn", "--n", "2"],
+    ["gen", "--family", "kmulti", "--parts", "1,2"],
+    ["gen", "--family", "gnp", "--n", "4", "--p", "1.5", "--seed", "1"],
+    ["sample", "--model", "mb", "--n", "0", "--t", "3", "--seed", "1"],
+], ids=["threshold-t-range", "gen-cn", "gen-kmulti", "gen-gnp", "sample-n"])
+def test_option_values_the_library_rejects_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "g.json")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_unwritable_output_paths_are_usage_errors(p3, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    instance = _write(tmp_path / "x.json", {
+        "ground_set_size": 8,
+        "sets": [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]],
+    })
+    for argv in (
+        ["gen", "--family", "qd", "--d", "2", "--out", missing],
+        ["threshold", "--model", "mb", "--n", "4", "--t-min", "4", "--t-max", "6", "--step", "2",
+         "--trials", "2", "--seed", "1", "--out", missing],
+        ["solve", "--graph", p3, "--config", config, "--certificate", missing],
+        ["reduce", "--instance", instance, "--out-graph", missing,
+         "--out-config", str(tmp_path / "c2.json")],
+        ["reduce", "--instance", instance, "--out-graph", str(tmp_path / "g2.json"),
+         "--out-config", missing],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 64
+        assert f"error: cannot write {missing}" in capsys.readouterr().err

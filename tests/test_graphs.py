@@ -9,6 +9,7 @@ import pytest
 
 import coverpebbling as cp
 from coverpebbling.graphs import UNREACHABLE
+from coverpebbling.sampling import SeededStream
 
 
 def test_build_triangle():
@@ -186,3 +187,37 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# edges drawn from each seed's stream; a change here changes every generated graph
+_PINNED_EDGES = {
+    0: (((0, 4), (0, 5), (0, 6), (1, 3), (1, 7), (1, 8), (2, 3), (2, 5)),
+        ((0, 1), (0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (2, 6), (2, 7),
+         (3, 6), (3, 7), (5, 6))),
+    -1: (((0, 4), (1, 2), (2, 6), (3, 4), (3, 7), (4, 8), (5, 6), (6, 8)),
+         ((0, 1), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5),
+          (2, 6), (2, 7), (3, 4), (3, 7), (4, 5), (5, 7), (6, 7))),
+    2**63: (((0, 8), (1, 8), (2, 6), (3, 4), (3, 6), (4, 5), (6, 7), (7, 8)),
+            ((0, 5), (0, 7), (1, 2), (1, 3), (1, 7), (2, 5), (2, 7), (3, 5), (3, 7), (5, 6))),
+}
+
+
+@pytest.mark.parametrize("seed", list(_PINNED_EDGES), ids=["0", "-1", "2^63"])
+def test_random_graph_edges_are_pinned(seed):
+    tree, gnp = _PINNED_EDGES[seed]
+    assert cp.random_tree(9, seed).edges == tree
+    assert cp.gnp_random_graph(8, 0.4, seed).edges == gnp
+
+
+def test_random_graphs_key_their_stream_like_the_samplers(monkeypatch):
+    keyed = []
+    generator = SeededStream.generator
+
+    def spy(stream):
+        keyed.append((stream.seed, stream.stream_index))
+        return generator(stream)
+
+    monkeypatch.setattr(SeededStream, "generator", spy)
+    cp.random_tree(9, 5)
+    cp.gnp_random_graph(8, 0.4, -3)
+    assert keyed == [(5, 0), (-3, 0)]

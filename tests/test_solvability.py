@@ -256,10 +256,10 @@ def test_budget_exhaustion_is_reported_not_guessed():
 
 
 @pytest.mark.parametrize("g, lam", [
-    (cp.path_graph(64), 2**64 - 1),  # object potentials: diameter above 60
+    (cp.path_graph(64), 2**64 - 1),  # diameter above 60
     (cp.path_graph(200), 2**200 - 1),
-    (cp.path_graph(40), 2**40 - 1),  # object potentials: the pebble total shifted by 39
-    (cp.cube_graph(3), 27),  # int64 potentials
+    (cp.path_graph(40), 2**40 - 1),  # the pebble total times 2^diam is above 2^62
+    (cp.cube_graph(3), 27),  # a small cube: every weight fits in a machine word
 ], ids=["P64", "P200", "P40", "Q3"])
 def test_stacking_tag_at_the_cover_number_boundary(monkeypatch, g, lam):
     def refuse(*args):
