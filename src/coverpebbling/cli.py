@@ -9,7 +9,10 @@ unreadable or invalid input file.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 
 from . import reduction, sampling, solvability, thresholds
@@ -66,12 +69,35 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _cannot_write(path: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Fail as _write_text would, before the work whose result goes to `path`.
+
+    Neither creates nor truncates the file: an existing path is opened for
+    appending, a new one is judged by its directory.
+    """
+    try:
+        if os.path.exists(path):
+            open(path, "a").close()
+            return
+        parent = os.path.dirname(path) or "."
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        raise _cannot_write(path, exc) from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -166,6 +192,8 @@ def _cmd_solve(args) -> int:
         answer = solvability.solve_bruteforce(graph, config)
         print(json.dumps({"status": "solvable" if answer else "unsolvable"}))
         return EXIT_OK if answer else EXIT_NEGATIVE
+    if args.certificate:
+        _check_writable(args.certificate)
     result = solvability.solve(graph, config, args.budget)
     print(json.dumps({
         "status": result.status,
@@ -211,6 +239,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     curve = thresholds.sweep(
         sampling.RandomModel(args.model), args.n, args.t_min, args.t_max,
         args.step, args.trials, args.seed, workers=args.workers,

@@ -13,6 +13,12 @@ Two probability models on t pebbles over n vertices:
 All randomness flows through SeededStream, a (seed, stream_index) pair
 keyed into a counter-based generator, so every sample is a pure function
 of its stream and distinct stream indices are independent.
+
+`mb_counts` and `be_counts` draw a block of `rows` trials from one stream,
+as one (rows, t) array of picks; row r is the same draw whatever the number
+of rows after it.  The single-configuration samplers are the one-row case,
+keyed by (seed, index) exactly as before, so `sample_mb`, `sample_be_polya`
+and `coverpebble sample` give the same configurations for the same stream.
 """
 
 from __future__ import annotations
@@ -56,40 +62,51 @@ def _check_n_t(n: int, t: int) -> None:
         raise ValueError("cannot place pebbles on zero vertices")
 
 
-def mb_counts(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Maxwell-Boltzmann counts vector: t independent uniform placements."""
-    if t == 0:
-        return np.zeros(n, dtype=np.int64)
-    return np.bincount(rng.integers(0, n, size=t), minlength=n)
+def mb_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+    """Maxwell-Boltzmann counts of `rows` trials, shape (rows, n).
+
+    Each row places t pebbles on independent uniform vertices; one bincount
+    over the keys row * n + vertex counts the whole block.
+    """
+    picks = rng.integers(0, n, size=(rows, t))
+    picks += np.arange(rows)[:, None] * n
+    return np.bincount(picks.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def be_counts(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Bose-Einstein counts via Polya urn draws.
+def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+    """Bose-Einstein counts of `rows` trials via Polya urn draws, shape (rows, n).
 
     Draw k (1-indexed) holds n + k - 1 balls, so vertex j is picked with
-    probability (1 + count_j) / (n + k - 1).  Implemented as a uniform pick
-    from the growing ball list: an index below n is an original ball, any
-    other index refers back to the ball drawn at that earlier step.
+    probability (1 + count_j) / (n + k - 1).  Ball n + k - 1 of a row is a
+    uniform pick among the balls before it: an index below n is an original
+    ball, any other is a copy of the ball drawn at that earlier step.
+    Pointer jumping (ref = ref[ref] until it stops changing) takes every
+    ball to its original ball in O(log depth) array passes.
     """
-    if t == 0:
-        return np.zeros(n, dtype=np.int64)
-    picks = rng.integers(0, n + np.arange(t)).tolist()
-    balls = [0] * t
-    for k, idx in enumerate(picks):
-        balls[k] = idx if idx < n else balls[idx - n]
-    return np.bincount(np.asarray(balls, dtype=np.int64), minlength=n)
+    width = n + t
+    ref = np.arange(rows * width)  # ball j of row r sits at r * width + j
+    ball = np.arange(n, width)
+    ref.reshape(rows, width)[:, n:] += rng.integers(0, ball, size=(rows, t)) - ball
+    while True:
+        jumped = ref[ref]
+        if (jumped == ref).all():
+            break
+        ref = jumped
+    # each drawn ball of row r now points at r * width + its vertex
+    roots = ref.reshape(rows, width)[:, n:].ravel()
+    return np.bincount(roots, minlength=rows * width).reshape(rows, width)[:, :n]
 
 
 def sample_mb(n: int, t: int, s: SeededStream) -> Configuration:
     """One Maxwell-Boltzmann configuration of t pebbles on n vertices."""
     _check_n_t(n, t)
-    return Configuration(mb_counts(n, t, s.generator()))
+    return Configuration(mb_counts(n, t, s.generator())[0])
 
 
 def sample_be_polya(n: int, t: int, s: SeededStream) -> Configuration:
     """One Bose-Einstein configuration, uniform over all C(n+t-1, t) compositions."""
     _check_n_t(n, t)
-    return Configuration(be_counts(n, t, s.generator()))
+    return Configuration(be_counts(n, t, s.generator())[0])
 
 
 def sample_be_stars_and_bars(n: int, t: int, s: SeededStream) -> Configuration:

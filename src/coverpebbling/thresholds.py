@@ -2,9 +2,15 @@
 
 Per trial, a configuration is drawn from the requested model and tested
 with the exact complete-graph criterion (odd stacks + total >= 2n), so a
-trial costs O(t) and no graph search ever runs.  Each trial's randomness
-is a pure function of (seed, t, trial index), which makes sweeps
-bit-reproducible for any worker count.
+trial costs O(t) and no graph search ever runs.
+
+Stream layout: the trials of a sweep point are cut into blocks of
+rows = max(1, min(64, 2^15 // (n + t))) consecutive trials, a function of
+(n, t) alone.  Block b draws all its rows in one call from the stream
+(seed, t * 2^32 + b), and the last block may be short.  A row's draw does
+not depend on the rows after it, so each trial's outcome is a pure
+function of (n, seed, t, trial index).  A worker always takes whole
+blocks, so sweeps are bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +23,12 @@ import numpy as np
 
 from .sampling import RandomModel, SeededStream, be_counts, mb_counts
 
-_T_STRIDE = 2**32  # stream index packs (t, trial) as t * 2^32 + trial
+_T_STRIDE = 2**32  # stream index packs (t, block) as t * 2^32 + block
+# A block holds at most this many counts cells, rows * (n + t), and at most
+# _MAX_ROWS trials: the draw buffers stay in cache, and a large t falls
+# back to one trial per block.
+_BLOCK_CELLS = 2**15
+_MAX_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -54,22 +65,22 @@ class ThresholdCurve:
         return crossing_point(self)
 
 
-def _trial_counts(model: RandomModel, n: int, t: int, rng) -> np.ndarray:
-    if model is RandomModel.MAXWELL_BOLTZMANN:
-        return mb_counts(n, t, rng)
-    return be_counts(n, t, rng)
+def _block_rows(n: int, t: int) -> int:
+    """Trials per stream block at (n, t); never depends on the worker count."""
+    return max(1, min(_MAX_ROWS, _BLOCK_CELLS // (n + t)))
 
 
 def _count_solvable(args) -> int:
-    model_value, n, t, lo, hi, seed = args
-    model = RandomModel(model_value)
+    """Cover-solvable trials in blocks lo..hi-1 of one sweep point."""
+    model_value, n, t, lo, hi, trials, seed = args
+    draw = mb_counts if RandomModel(model_value) is RandomModel.MAXWELL_BOLTZMANN else be_counts
+    rows = _block_rows(n, t)
     count = 0
-    for trial in range(lo, hi):
-        rng = SeededStream(seed, t * _T_STRIDE + trial).generator()
-        counts = _trial_counts(model, n, t, rng)
-        odd = int(np.count_nonzero(counts & 1))
-        if odd + t >= 2 * n:
-            count += 1
+    for block in range(lo, hi):
+        rng = SeededStream(seed, t * _T_STRIDE + block).generator()
+        counts = draw(n, t, rng, min(rows, trials - block * rows))
+        odd = np.count_nonzero(counts & 1, axis=1)
+        count += int(np.count_nonzero(odd + t >= 2 * n))
     return count
 
 
@@ -92,8 +103,8 @@ def sweep(
 ) -> ThresholdCurve:
     """One SweepRecord per t in range(t_min, t_max + 1, step).
 
-    With workers > 1, trials are distributed over a process pool in chunks;
-    per-trial streams make the result identical for every worker count.
+    With workers > 1, whole stream blocks are distributed over a process
+    pool in chunks, so the result is identical for every worker count.
     """
     model = RandomModel(model)
     if t_min > t_max:
@@ -110,20 +121,20 @@ def sweep(
         raise ValueError(f"pebble counts must lie in 0..{_T_STRIDE - 1} for stream "
                          f"indexing, got {t_min}..{t_max}")
     ts = list(range(t_min, t_max + 1, step))
+    tasks = []
+    for t in ts:
+        blocks = -(-trials // _block_rows(n, t))
+        chunk = max(1, -(-blocks // (workers * 4)))
+        tasks += [(model.value, n, t, lo, min(lo + chunk, blocks), trials, seed)
+                  for lo in range(0, blocks, chunk)]
     if workers == 1:
-        totals = {t: _count_solvable((model.value, n, t, 0, trials, seed)) for t in ts}
+        results = map(_count_solvable, tasks)
     else:
-        chunk = max(1, -(-trials // (workers * 4)))
-        tasks = [
-            (model.value, n, t, lo, min(lo + chunk, trials), seed)
-            for t in ts
-            for lo in range(0, trials, chunk)
-        ]
         with Pool(processes=workers) as pool:
             results = pool.map(_count_solvable, tasks)
-        totals = {t: 0 for t in ts}
-        for task, solvable in zip(tasks, results):
-            totals[task[2]] += solvable
+    totals = dict.fromkeys(ts, 0)
+    for task, solvable in zip(tasks, results):
+        totals[task[2]] += solvable
     records = tuple(
         SweepRecord(model, n, t, trials, totals[t], seed) for t in ts
     )

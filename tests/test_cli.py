@@ -1,7 +1,10 @@
+import errno
 import json
+import os
 
 import pytest
 
+from coverpebbling import solvability, thresholds
 from coverpebbling.cli import run_cli
 
 
@@ -82,6 +85,18 @@ def test_sample_deterministic_and_shaped(capsys):
     assert run_cli(["sample", "--model", "be", "--n", "4", "--t", "6",
                     "--seed", "9", "--count", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("model, expected", [
+    ("mb", [[1, 2, 3, 0, 1, 2], [1, 1, 3, 1, 2, 1], [1, 0, 2, 1, 2, 3]]),
+    ("be", [[5, 0, 1, 1, 1, 1], [0, 1, 0, 3, 4, 1], [2, 0, 3, 4, 0, 0]]),
+])
+def test_sample_streams_are_pinned(capsys, model, expected):
+    # configuration i comes from the stream (seed, i); these are its draws
+    assert run_cli(["sample", "--model", model, "--n", "6", "--t", "9",
+                    "--seed", "7", "--count", "3"]) == 0
+    assert capsys.readouterr().out == "".join(
+        json.dumps({"pebbles": pebbles}) + "\n" for pebbles in expected)
 
 
 @pytest.mark.parametrize("argv, option, kind", [
@@ -310,3 +325,37 @@ def test_unwritable_output_paths_are_usage_errors(p3, tmp_path, capsys):
             run_cli(argv)
         assert exc.value.code == 64
         assert f"error: cannot write {missing}" in capsys.readouterr().err
+
+
+def test_output_paths_are_checked_before_the_work(p3, tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(thresholds, "sweep", work)
+    monkeypatch.setattr(solvability, "solve", work)
+    config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    a_file = _write(tmp_path / "file.txt", "")
+    commands = (
+        (["threshold", "--model", "be", "--n", "1000", "--t-min", "1400", "--t-max", "1650",
+          "--step", "50", "--trials", "2000", "--seed", "1"], "--out"),
+        (["solve", "--graph", p3, "--config", config], "--certificate"),
+    )
+    unwritable = (
+        (str(tmp_path / "no-such-dir" / "out"), errno.ENOENT),
+        (str(tmp_path), errno.EISDIR),
+        (os.path.join(a_file, "out"), errno.ENOTDIR),
+    )
+    for argv, option in commands:
+        for path, code in unwritable:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + [option, path])
+            assert exc.value.code == 64
+            assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(code)}\n"
+        # a writable path is neither created nor truncated before the work is done
+        kept = tmp_path / "kept"
+        kept.write_text("old\n")
+        fresh = tmp_path / "fresh"
+        for path in (kept, fresh):
+            with pytest.raises(AssertionError, match="the work ran"):
+                run_cli(argv + [option, str(path)])
+        assert kept.read_text() == "old\n" and not fresh.exists()

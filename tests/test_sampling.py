@@ -3,10 +3,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import coverpebbling as cp
-from coverpebbling.sampling import SeededStream
+from coverpebbling.sampling import SeededStream, be_counts, mb_counts
 from conftest import compositions
 
 
@@ -26,6 +27,33 @@ def test_streams_are_reproducible_and_distinct():
 def test_key_words_at_and_above_2_to_63_stay_distinct(a, b):
     assert cp.sample_mb(10, 20, a) != cp.sample_mb(10, 20, b)
     assert a.generator().integers(0, 2**62, 4).tolist() != b.generator().integers(0, 2**62, 4).tolist()
+
+
+def _polya_reference(n, t, rng):
+    """The urn ball by ball: draw k copies ball picks[k], an original below n."""
+    picks = rng.integers(0, n + np.arange(t)).tolist()
+    balls = []
+    for idx in picks:
+        balls.append(idx if idx < n else balls[idx - n])
+    return np.bincount(np.asarray(balls, dtype=np.int64), minlength=n)
+
+
+@pytest.mark.parametrize("t", [0, 1, 5, 1600, 2500])
+def test_be_counts_matches_the_ball_by_ball_urn(t):
+    for seed in range(40):
+        stream = SeededStream(seed, t)
+        expected = _polya_reference(1000, t, stream.generator())
+        assert be_counts(1000, t, stream.generator()).tolist() == [expected.tolist()]
+        assert cp.sample_be_polya(1000, t, stream).pebbles == tuple(expected.tolist())
+
+
+@pytest.mark.parametrize("draw", [mb_counts, be_counts])
+def test_a_row_does_not_depend_on_the_rows_after_it(draw):
+    for n, t in ((300, 200), (5, 40), (1, 3), (7, 0)):
+        block = draw(n, t, SeededStream(4, 9).generator(), 7)
+        assert block.shape == (7, n) and (block.sum(axis=1) == t).all()
+        for rows in (1, 3, 6):
+            assert (draw(n, t, SeededStream(4, 9).generator(), rows) == block[:rows]).all()
 
 
 @pytest.mark.parametrize("sampler", [cp.sample_mb, cp.sample_be_polya,

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import coverpebbling as cp
 from coverpebbling.sampling import RandomModel
-from coverpebbling.thresholds import CSV_HEADER, SweepRecord, ThresholdCurve
+from coverpebbling.thresholds import CSV_HEADER, SweepRecord, ThresholdCurve, _block_rows
+
+# two-sided probability that a normal deviate lies beyond 4 sigma
+FOUR_SIGMA_ALPHA = math.erfc(4 / math.sqrt(2))
 
 
 def _record(t, solvable_count, trials=10):
@@ -50,11 +54,84 @@ def test_sweep_structure_and_determinism():
     assert all(r.p_hat == 0.0 for r in curve.records)  # whole range below n
 
 
+def _mb_solvable_exact(n, ts):
+    """Exact P(X >= 2n - t) under Maxwell-Boltzmann, for each t in ts.
+
+    N_t(x) counts the n^t placement sequences that leave x odd stacks.  A
+    pebble turns one of the n - x + 1 even stacks odd or one of the x + 1
+    odd stacks even (Ehrenfest urn), so
+    N_{t+1}(x) = (n - x + 1) N_t(x - 1) + (x + 1) N_t(x + 1).
+    """
+    counts = [1] + [0] * n
+    exact = {}
+    for t in range(max(ts) + 1):
+        if t in ts:
+            exact[t] = Fraction(sum(counts[max(0, 2 * n - t):]), n**t)
+        padded = [0] + counts + [0]  # padded[x] = N_t(x - 1), padded[x + 2] = N_t(x + 1)
+        counts = [(n - x + 1) * padded[x] + (x + 1) * padded[x + 2] for x in range(n + 1)]
+    return exact
+
+
+def _be_solvable_exact(n, ts):
+    """Exact P(X >= 2n - t) under Bose-Einstein, from the odd-stack pmf."""
+    return {t: sum((cp.be_odd_stack_pmf(n, t, x) for x in range(max(0, 2 * n - t), n + 1)),
+                   Fraction(0))
+            for t in ts}
+
+
+def _binomial_two_sided_p(k, trials, p):
+    """Twice the smaller binomial tail at k, capped at 1 (exact in p, float sums)."""
+    if p in (0, 1):
+        return 1.0 if k == p * trials else 0.0
+    logs = [math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+            + i * math.log(p) + (trials - i) * math.log1p(-p) for i in range(trials + 1)]
+    pmf = [math.exp(v) for v in logs]
+    return min(1.0, 2 * min(sum(pmf[: k + 1]), sum(pmf[k:])))
+
+
+def test_mb_exact_curve_matches_enumeration():
+    ts = range(0, 6)
+    for n in (1, 2, 4):
+        exact = _mb_solvable_exact(n, ts)
+        for t in ts:
+            solvable = 0
+            for placement in product(range(n), repeat=t):
+                odd = sum(placement.count(v) % 2 for v in range(n))
+                solvable += odd + t >= 2 * n
+            assert exact[t] == Fraction(solvable, n**t)
+
+
+@pytest.mark.parametrize("model, n, ts", [
+    (RandomModel.MAXWELL_BOLTZMANN, 50, range(60, 97, 4)),
+    (RandomModel.MAXWELL_BOLTZMANN, 200, range(280, 341, 6)),
+    (RandomModel.BOSE_EINSTEIN, 50, range(66, 101, 4)),
+    (RandomModel.BOSE_EINSTEIN, 200, range(300, 361, 6)),
+], ids=["mb-50", "mb-200", "be-50", "be-200"])
+def test_sweep_agrees_with_the_exact_curve(model, n, ts):
+    # every p_hat within the binomial 4-sigma band, the false-alarm rate
+    # shared over the sweep's points
+    trials = 2000
+    curve = cp.sweep(model, n, ts.start, ts[-1], ts.step, trials, seed=20240811)
+    exact = (_mb_solvable_exact if model is RandomModel.MAXWELL_BOLTZMANN
+             else _be_solvable_exact)(n, ts)
+    alpha = FOUR_SIGMA_ALPHA / len(ts)
+    outliers = [(r.t, r.p_hat, float(exact[r.t])) for r in curve.records
+                if _binomial_two_sided_p(r.solvable_count, trials, exact[r.t]) < alpha]
+    assert outliers == []
+    assert 0 < min(exact.values()) < 0.1 and 0.9 < max(exact.values()) < 1
+
+
 def test_sweep_worker_count_does_not_change_output():
-    kwargs = dict(n=40, t_min=50, t_max=80, step=10, trials=120, seed=31)
-    solo = cp.sweep(RandomModel.BOSE_EINSTEIN, **kwargs, workers=1)
-    duo = cp.sweep(RandomModel.BOSE_EINSTEIN, **kwargs, workers=2)
-    assert cp.curve_to_csv(solo, True) == cp.curve_to_csv(duo, True)
+    # neither trial count is a whole number of blocks, each worker count
+    # chunks the blocks differently, and in the second sweep n + t crosses
+    # 2^15 // 64, so the block rows change between points
+    assert len({_block_rows(300, t) for t in range(150, 401, 50)}) == 5
+    for model in RandomModel:
+        for kwargs in (dict(n=40, t_min=50, t_max=80, step=10, trials=1590, seed=31),
+                       dict(n=300, t_min=150, t_max=400, step=50, trials=1001, seed=32)):
+            csvs = {cp.curve_to_csv(cp.sweep(model, **kwargs, workers=workers), True)
+                    for workers in (1, 2, 3)}
+            assert len(csvs) == 1
 
 
 def test_sweep_validation():
