@@ -73,6 +73,8 @@ def test_solve_rejects_a_non_positive_budget(p3, tmp_path, capsys, budget):
 def test_solve_oracle_flag(p3, tmp_path):
     config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
     assert run_cli(["solve", "--graph", p3, "--config", config, "--oracle"]) == 0
+    deep = _write(tmp_path / "deep.json", {"pebbles": [2100, 0, 0]})
+    assert run_cli(["solve", "--graph", p3, "--config", deep, "--oracle"]) == 0
 
 
 def test_sample_deterministic_and_shaped(capsys):

@@ -124,6 +124,22 @@ def test_equivalence_check_reports_budget_exhaustion():
     assert report.agree is None
 
 
+def test_search_order_invariants():
+    # a refutation visits every reachable, unpruned state once, so its node
+    # count does not depend on the order children are tried in
+    built = cp.build_reduction(cp.X4CInstance(8, NO_COVER_SETS))
+    thinned = [6 if name[0] == "B" and name[1:].isdigit() else built.config[v]
+               for v, name in sorted(built.labels.items())]
+    r = cp.solve(built.graph, cp.Configuration(thinned))
+    assert (r.status, r.nodes_expanded) == (cp.UNSOLVABLE, 8803)
+    # trying the children that cover the most empty vertices first finds the
+    # figure cover fast; tried in generation order it takes about 2 million nodes
+    built = cp.build_reduction(cp.X4CInstance(8, FIGURE_SETS))
+    r = cp.solve(built.graph, built.config, budget=1000)
+    assert r.status == cp.SOLVABLE
+    assert cp.verify_certificate(built.graph, built.config, r.certificate)
+
+
 def test_instance_json_round_trip():
     x = cp.X4CInstance(8, FIGURE_SETS)
     d = cp.instance_to_dict(x)

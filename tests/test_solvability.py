@@ -242,6 +242,25 @@ def test_disconnected_decided_per_component():
     assert cp.verify_certificate(g, c, r.certificate)
 
 
+@pytest.mark.parametrize("isolated_first", [False, True])
+def test_every_component_is_screened_before_any_search(monkeypatch, isolated_first):
+    def refuse(*args):
+        raise AssertionError("solve() searched before screening every component")
+
+    monkeypatch.setattr("coverpebbling.solvability._search", refuse)
+    no_cover = cp.X4CInstance(8, [[0, 1, 2, 3], [3, 4, 5, 6], [0, 5, 6, 7]])
+    built = cp.build_reduction(no_cover)
+    n = built.graph.vertex_count
+    if isolated_first:  # the empty vertex is 0 and the gadget is shifted up by one
+        g = cp.build_graph(n + 1, [(u + 1, v + 1) for u, v in built.graph.edges])
+        c = cp.Configuration((0,) + built.config.pebbles)
+    else:
+        g = cp.build_graph(n + 1, built.graph.edges)
+        c = cp.Configuration(built.config.pebbles + (0,))
+    r = cp.solve(g, c, budget=30000)
+    assert (r.status, r.nodes_expanded, r.fast_path) == (cp.UNSOLVABLE, 0, FP_TRIVIAL_DEFICIT)
+
+
 def test_budget_exhaustion_is_reported_not_guessed():
     g = cp.path_graph(4)
     c = cp.Configuration([15, 0, 0, 0])
@@ -291,6 +310,8 @@ def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
     assert r.solvable and r.nodes_expanded == 300
     assert r.certificate.moves == {(i, i + 1): 1 for i in range(299)}
     assert cp.verify_certificate(g, c, r.certificate)
+    # a recursive oracle nests over a thousand moves here before it covers P_3
+    assert cp.solve_bruteforce(cp.path_graph(3), cp.Configuration([2100, 0, 0]))
     assert sys.getrecursionlimit() == before
 
 
