@@ -12,8 +12,10 @@ into a legal move sequence.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .graphs import Configuration, Graph, build_graph, check_pairing
 
@@ -123,44 +125,73 @@ def verify_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> bool:
 def execute_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> list:
     """Schedule a verified certificate into a legal move sequence.
 
-    Greedy: repeatedly perform any remaining move whose source currently
-    holds at least two pebbles.  For a certificate that passes
-    verify_certificate this never stalls; a stall means the precondition
-    was violated and raises.
+    Greedy: repeatedly perform the first remaining move, in sorted (i, j)
+    order, whose source currently holds at least two pebbles.  For a
+    certificate that passes verify_certificate this never stalls; a stall
+    means the precondition was violated and raises.
+
+    The schedule is built a run at a time.  Firing the chosen move (i, j)
+    again only drains i and feeds j, so every earlier move stays blocked
+    except one out of j, which the one-move greedy would switch to as soon
+    as j holds two pebbles.  Each round therefore fires (i, j)
+    min(remaining, current[i] // 2) times, capped at 2 - current[j] when an
+    earlier remaining move leaves j, and yields exactly the one-move
+    greedy's sequence.  A round costs one scan of the distinct remaining
+    moves plus the length of its run.  A certificate with more moves than
+    a list can hold is rejected up front.
     """
     check_pairing(g, c)
+    if m.total_moves > sys.maxsize:
+        raise ValueError(f"certificate has {m.total_moves} moves, too many to list")
     remaining = dict(sorted(m.moves.items()))
     current = list(c.pebbles)
     sequence = []
     while remaining:
-        move = next(((i, j) for (i, j) in remaining if current[i] >= 2), None)
-        if move is None:
+        blocked = set()  # sources of the remaining moves before the chosen one
+        for move in remaining:
+            i, j = move
+            if current[i] >= 2:
+                break
+            blocked.add(i)
+        else:
             raise ValueError(
                 "certificate stalled with moves remaining; it does not satisfy "
                 "the covering inequalities")
-        i, j = move
-        current[i] -= 2
-        current[j] += 1
-        sequence.append(move)
-        remaining[move] -= 1
+        run = min(remaining[move], current[i] // 2)
+        if j in blocked:
+            run = min(run, 2 - current[j])
+        current[i] -= 2 * run
+        current[j] += run
+        sequence += [move] * run
+        remaining[move] -= run
         if not remaining[move]:
             del remaining[move]
     return sequence
 
 
 def apply_moves(g: Graph, c: Configuration, seq) -> Configuration:
-    """Replay single moves in order; rejects the first illegal one by index."""
+    """Replay single moves in order; rejects the first illegal one by index.
+
+    Runs of equal consecutive moves are checked at once: r moves out of i
+    are legal iff i holds at least 2r pebbles, and otherwise the first
+    illegal one is number current[i] // 2 of the run (counting from 0), so
+    the cost is linear in the sequence plus a term per run.
+    """
     check_pairing(g, c)
     edges = set(g.edges)
     current = list(c.pebbles)
-    for idx, (i, j) in enumerate(seq):
-        if (min(i, j), max(i, j)) not in edges:
+    idx = 0
+    for (i, j), group in groupby(seq):
+        if (i, j) not in edges and (j, i) not in edges:
             raise ValueError(f"move #{idx} ({i}->{j}) is not along an edge")
-        if current[i] < 2:
+        run = len(list(group))
+        if current[i] < 2 * run:
             raise ValueError(
-                f"move #{idx} ({i}->{j}) is illegal: source holds {current[i]} pebble(s)")
-        current[i] -= 2
-        current[j] += 1
+                f"move #{idx + current[i] // 2} ({i}->{j}) is illegal: "
+                f"source holds {current[i] % 2} pebble(s)")
+        current[i] -= 2 * run
+        current[j] += run
+        idx += run
     return Configuration(current)
 
 

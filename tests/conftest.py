@@ -44,3 +44,12 @@ def descending_part_vectors(max_total: int):
             yield from extend(prefix + [r], remaining - r, r)
 
     yield from extend([], max_total, max_total)
+
+
+def coverable_instance(rng: random.Random, span: int) -> cp.X4CInstance:
+    """Ground set of 8 with a planted exact cover and `span` further random 4-sets."""
+    perm = list(range(8))
+    rng.shuffle(perm)
+    sets = [perm[:4], perm[4:]] + [rng.sample(range(8), 4) for _ in range(span)]
+    rng.shuffle(sets)
+    return cp.X4CInstance(8, sets)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import coverpebbling as cp
+from conftest import coverable_instance
 
 FIGURE_SETS = [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]]
 NO_COVER_SETS = [[0, 1, 2, 3], [3, 4, 5, 6], [0, 5, 6, 7]]
@@ -96,8 +97,11 @@ def test_exact_cover_bruteforce():
 
 
 def test_witness_certificate_verifies_and_replays():
-    for sets in (FIGURE_SETS, FIGURE_SETS + [[0, 1, 6, 7]]):
-        x = cp.X4CInstance(8, sets)
+    # the span-16 collector halves 2^16 - 15 pebbles down the drain path:
+    # 8 cover moves, 7 per relayed subset and 2^16 - 1 drain moves
+    span16 = coverable_instance(random.Random(16), 16)
+    for x in (cp.X4CInstance(8, FIGURE_SETS), cp.X4CInstance(8, FIGURE_SETS + [[0, 1, 6, 7]]),
+              span16):
         built = cp.build_reduction(x)
         cover = cp.exact_cover_bruteforce(x)
         cert = cp.cover_witness_certificate(x, cover)
@@ -105,6 +109,18 @@ def test_witness_certificate_verifies_and_replays():
         seq = cp.execute_certificate(built.graph, built.config, cert)
         final = cp.apply_moves(built.graph, built.config, seq)
         assert min(final.pebbles) >= 1
+    assert len(seq) == cert.total_moves == 8 + 7 * 16 + 2**16 - 1
+
+
+def test_witness_too_large_to_list_is_rejected():
+    # the span-64 collector holds 2^64 - 63 pebbles: the witness verifies,
+    # but its move sequence is longer than any list
+    x = coverable_instance(random.Random(64), 64)
+    built = cp.build_reduction(x)
+    cert = cp.cover_witness_certificate(x, cp.exact_cover_bruteforce(x))
+    assert cp.verify_certificate(built.graph, built.config, cert)
+    with pytest.raises(ValueError, match="too many to list"):
+        cp.execute_certificate(built.graph, built.config, cert)
 
 
 def test_equivalence_check_positive():

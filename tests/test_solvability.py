@@ -11,7 +11,12 @@ from coverpebbling.solvability import (
     FP_STACKING,
     FP_TRIVIAL_DEFICIT,
 )
-from conftest import compositions, random_configuration, random_connected_graph
+from conftest import (
+    compositions,
+    coverable_instance,
+    random_configuration,
+    random_connected_graph,
+)
 
 
 def test_odd_stack_summary_examples():
@@ -120,6 +125,151 @@ def test_apply_moves_cases():
         cp.apply_moves(cp.path_graph(3), cp.Configuration([4, 0, 0]), [(0, 2)])
     with pytest.raises(ValueError, match="move #1"):
         cp.apply_moves(k2, cp.Configuration([3, 0]), [(0, 1), (0, 1)])
+
+
+def _single_step_execute(g, c, m):
+    """Reference greedy that execute_certificate must reproduce: one move per step,
+    the first remaining one in sorted order whose source holds two pebbles."""
+    remaining = dict(sorted(m.moves.items()))
+    current = list(c.pebbles)
+    sequence = []
+    while remaining:
+        move = next(((i, j) for (i, j) in remaining if current[i] >= 2), None)
+        if move is None:
+            raise ValueError(
+                "certificate stalled with moves remaining; it does not satisfy "
+                "the covering inequalities")
+        i, j = move
+        current[i] -= 2
+        current[j] += 1
+        sequence.append(move)
+        remaining[move] -= 1
+        if not remaining[move]:
+            del remaining[move]
+    return sequence
+
+
+def _move_by_move_apply(g, c, seq):
+    """Reference replay: every move checked on its own."""
+    edges = set(g.edges)
+    current = list(c.pebbles)
+    for idx, (i, j) in enumerate(seq):
+        if (min(i, j), max(i, j)) not in edges:
+            raise ValueError(f"move #{idx} ({i}->{j}) is not along an edge")
+        if current[i] < 2:
+            raise ValueError(
+                f"move #{idx} ({i}->{j}) is illegal: source holds {current[i]} pebble(s)")
+        current[i] -= 2
+        current[j] += 1
+    return cp.Configuration(current)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _arcs(g):
+    return list(g.edges) + [(b, a) for a, b in g.edges]
+
+
+def _random_certificate(rng, g):
+    arcs = _arcs(g)
+    chosen = rng.sample(arcs, rng.randint(0, len(arcs)))
+    return cp.MoveCertificate({arc: rng.randint(1, 6) for arc in chosen})
+
+
+def _random_sequence(rng, g):
+    """Runs of random moves, off-edge ones included, with no regard to legality."""
+    arcs = _arcs(g)
+    n = g.vertex_count
+    seq = []
+    for _ in range(rng.randint(0, 10)):
+        move = rng.choice(arcs) if arcs and rng.random() < 0.9 else (
+            rng.randrange(n), rng.randrange(n))
+        seq += [move] * rng.choice([1, 1, 2, 3, 5])
+    return seq
+
+
+def _legal_sequence(rng, g, c):
+    """Runs of random legal moves, each as long as its source allows or shorter."""
+    current = list(c.pebbles)
+    seq = []
+    for _ in range(rng.randint(1, 8)):
+        ready = [(a, b) for a, b in _arcs(g) if current[a] >= 2]
+        if not ready:
+            break
+        a, b = rng.choice(ready)
+        run = rng.randint(1, current[a] // 2)
+        seq += [(a, b)] * run
+        current[a] -= 2 * run
+        current[b] += run
+    return seq
+
+
+def test_execute_certificate_follows_the_single_step_schedule():
+    # (2, 0) runs until vertex 0 holds two pebbles, then the earlier move
+    # (0, 1) takes over for one step; firing all three (2, 0) first would
+    # also be legal, but a different sequence
+    g = cp.build_graph(3, [(0, 1), (0, 2)])
+    c = cp.Configuration([0, 0, 8])
+    cert = cp.MoveCertificate({(2, 0): 3, (0, 1): 1})
+    expected = [(2, 0), (2, 0), (0, 1), (2, 0)]
+    assert _single_step_execute(g, c, cert) == expected
+    assert cp.execute_certificate(g, c, cert) == expected
+
+    rng = random.Random(16)
+    for span in range(1, 13):
+        x = coverable_instance(rng, span)
+        built = cp.build_reduction(x)
+        cert = cp.cover_witness_certificate(x, cp.exact_cover_bruteforce(x))
+        seq = cp.execute_certificate(built.graph, built.config, cert)
+        assert seq == _single_step_execute(built.graph, built.config, cert)
+
+    solved = stalled = 0
+    while solved < 60 or stalled < 200:
+        g = random_connected_graph(rng, max_vertices=6)
+        c = random_configuration(rng, g.vertex_count, max_total=14)
+        result = cp.solve(g, c)
+        if result.solvable:
+            solved += 1
+            assert (cp.execute_certificate(g, c, result.certificate)
+                    == _single_step_execute(g, c, result.certificate))
+        cert = _random_certificate(rng, g)
+        expected = _outcome(_single_step_execute, g, c, cert)
+        stalled += isinstance(expected, str)
+        assert _outcome(cp.execute_certificate, g, c, cert) == expected
+
+
+def test_apply_moves_checks_runs_move_by_move():
+    k2 = cp.complete_graph(2)
+    with pytest.raises(ValueError, match=r"^move #2 \(0->1\) is illegal: source holds 1 pebble\(s\)$"):
+        cp.apply_moves(k2, cp.Configuration([5, 0]), [(0, 1)] * 3)
+    # an off-edge move that opens a run is reported at its own index
+    p3 = cp.path_graph(3)
+    with pytest.raises(ValueError, match=r"^move #2 \(0->2\) is not along an edge$"):
+        cp.apply_moves(p3, cp.Configuration([8, 0, 0]), [(0, 1), (0, 1), (0, 2), (0, 2)])
+    moves = ((0, 1) for _ in range(3))
+    assert cp.apply_moves(p3, cp.Configuration([7, 0, 0]), moves).pebbles == (1, 3, 0)
+
+    # random sequences, and random legal ones with and without one random
+    # move spliced in
+    rng = random.Random(21)
+    legal = illegal = 0
+    for _ in range(400):
+        g = random_connected_graph(rng, max_vertices=6)
+        c = random_configuration(rng, g.vertex_count, max_total=20)
+        good = _legal_sequence(rng, g, c)
+        cut = rng.randint(0, len(good))
+        spliced = good[:cut] + _random_sequence(rng, g)[:1] + good[cut:]
+        for seq in (_random_sequence(rng, g), good, spliced):
+            expected = _outcome(_move_by_move_apply, g, c, seq)
+            illegal += isinstance(expected, str)
+            legal += bool(seq) and not isinstance(expected, str)
+            assert _outcome(cp.apply_moves, g, c, iter(seq)) == expected
+    assert legal > 100 and illegal > 100
 
 
 def test_solve_examples_and_fast_paths():
