@@ -40,6 +40,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             canonical.add((u, v) if u < v else (v, u))
+        self._edge_set = frozenset(canonical)
         self.edges = tuple(sorted(canonical))
         nbrs = [[] for _ in range(vertex_count)]
         for u, v in self.edges:
@@ -52,6 +53,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def has_edge(self, u, v) -> bool:
+        """Whether u and v are joined by an edge; any other pair, junk included, is not."""
+        s = self._edge_set
+        return (u, v) in s or (v, u) in s
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -5,8 +5,8 @@ A configuration is cover solvable when some sequence of pebbling moves
 least one pebble on every vertex simultaneously.  Solvability is certified
 by a matrix of per-edge move counts n_ij such that every vertex k ends with
 C(k) + sum_l n_lk - 2 sum_l n_kl >= 1; checking such a certificate is linear
-in the number of edges, and a certificate can always be replayed greedily
-into a legal move sequence.
+in the number of vertices and moves, and a certificate can always be
+replayed greedily into a legal move sequence.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ def complete_graph_solvable(n: int, c: Configuration) -> bool:
     """Exact solvability test for K_n: odd stacks plus total must reach 2n."""
     if len(c) != n:
         raise ValueError(f"configuration has {len(c)} entries, expected {n}")
-    summary = odd_stack_summary(c)
-    return summary.odd_count + summary.total >= 2 * n
+    return sum(p & 1 for p in c.pebbles) + c.total >= 2 * n
 
 
 class MoveCertificate:
@@ -109,13 +108,10 @@ def verify_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> bool:
     """Linear-time certificate check: moves sit on edges and every vertex ends covered."""
     check_pairing(g, c)
     n = g.vertex_count
-    edges = set(g.edges)
     incoming = [0] * n
     outgoing = [0] * n
     for (i, j), count in m.moves.items():
-        if not (0 <= i < n and 0 <= j < n):
-            return False
-        if (min(i, j), max(i, j)) not in edges:
+        if not g.has_edge(i, j):
             return False
         outgoing[i] += count
         incoming[j] += count
@@ -138,9 +134,12 @@ def execute_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> list:
     earlier remaining move leaves j, and yields exactly the one-move
     greedy's sequence.  A round costs one scan of the distinct remaining
     moves plus the length of its run.  A certificate with more moves than
-    a list can hold is rejected up front.
+    a list can hold, or a move off the graph's edges, is rejected up front.
     """
     check_pairing(g, c)
+    for i, j in m.moves:
+        if not g.has_edge(i, j):
+            raise ValueError(f"move ({i},{j}) is not along an edge")
     if m.total_moves > sys.maxsize:
         raise ValueError(f"certificate has {m.total_moves} moves, too many to list")
     remaining = dict(sorted(m.moves.items()))
@@ -178,11 +177,10 @@ def apply_moves(g: Graph, c: Configuration, seq) -> Configuration:
     the cost is linear in the sequence plus a term per run.
     """
     check_pairing(g, c)
-    edges = set(g.edges)
     current = list(c.pebbles)
     idx = 0
     for (i, j), group in groupby(seq):
-        if (i, j) not in edges and (j, i) not in edges:
+        if not g.has_edge(i, j):
             raise ValueError(f"move #{idx} ({i}->{j}) is not along an edge")
         run = len(list(group))
         if current[i] < 2 * run:
@@ -252,7 +250,8 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     guarantee, and finally an exhaustive memoized search.  Disconnected
     graphs are decided per component (solvable iff every component is).
     Every component is screened by the cheap tests before any component is
-    searched, and the first refuted component decides the answer.
+    searched; the first refuted component decides the answer, and no
+    subgraph is built after it.
     A search exceeding `budget` node expansions reports UNDECIDED rather
     than guessing.
     """
@@ -260,30 +259,24 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     if g.vertex_count < 1:
         raise ValueError("solve needs a graph with at least one vertex")
     components = g.components()
-    if len(components) == 1:
-        parts = [(g, c)]
-    else:
-        parts = []
-        for comp in components:
+    parts = []
+    for comp in components:
+        if len(comp) == g.vertex_count:  # connected: the graph is its own component
+            sub, sub_conf = g, c
+        else:
             index = {v: i for i, v in enumerate(comp)}
-            members = set(comp)
             sub = build_graph(
-                len(comp),
-                [(index[u], index[v]) for u, v in g.edges if u in members and v in members],
-            )
-            parts.append((sub, Configuration(c[v] for v in comp)))
-
-    screened = []
-    for sub, sub_conf in parts:
+                len(comp), [(index[u], index[v]) for u in comp for v in g.adjacency[u] if u < v])
+            sub_conf = Configuration(c[v] for v in comp)
         outcome = _screen(sub, sub_conf)
         if isinstance(outcome, SolveResult) and outcome.status == UNSOLVABLE:
             return outcome
-        screened.append(outcome)
+        parts.append((sub, sub_conf, outcome))
 
     merged_moves = {}
     nodes = 0
     fast_path = FP_ALL_COVERED
-    for comp, (sub, sub_conf), outcome in zip(components, parts, screened):
+    for comp, (sub, sub_conf, outcome) in zip(components, parts):
         if isinstance(outcome, SolveResult):
             tag, moves = outcome.fast_path, outcome.certificate.moves
         else:
@@ -311,7 +304,7 @@ def _screen(g: Graph, c: Configuration):
         return SolveResult(SOLVABLE, MoveCertificate({}), 0, FP_ALL_COVERED)
     if t < n:
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    if all(len(a) == n - 1 for a in g.adjacency):
+    if g.edge_count == n * (n - 1) // 2:
         if complete_graph_solvable(n, c):
             return SolveResult(SOLVABLE, _complete_graph_certificate(c), 0, FP_COMPLETE_GRAPH)
         return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
@@ -333,19 +326,11 @@ def _screen(g: Graph, c: Configuration):
 def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     # on K_n every pair is an edge: each vertex with p >= 1 can spare
     # (p - 1) // 2 moves and still stay covered; route one spare move into
-    # each empty vertex.
-    donors = [[v, (p - 1) // 2] for v, p in enumerate(c.pebbles) if p >= 1]
-    donors = [d for d in donors if d[1] > 0]
-    moves = {}
-    cursor = 0
-    for target, p in enumerate(c.pebbles):
-        if p:
-            continue
-        while donors[cursor][1] == 0:
-            cursor += 1
-        moves[(donors[cursor][0], target)] = moves.get((donors[cursor][0], target), 0) + 1
-        donors[cursor][1] -= 1
-    return MoveCertificate(moves)
+    # each empty vertex, taking the spares in vertex order.  _screen calls
+    # this only when X + t >= 2n holds, which leaves at least one spare per
+    # empty vertex, so the spares never run out.
+    spares = (v for v, p in enumerate(c.pebbles) for _ in range((p - 1) // 2))
+    return MoveCertificate(Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p))
 
 
 def _compositions(k: int, bins: int):

@@ -16,6 +16,7 @@ blocks, so sweeps are bit-reproducible for any worker count.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -104,7 +105,8 @@ def sweep(
     """One SweepRecord per t in range(t_min, t_max + 1, step).
 
     With workers > 1, whole stream blocks are distributed over a process
-    pool in chunks, so the result is identical for every worker count.
+    pool in chunks, so the result is identical for every worker count.  The
+    pool has at most os.cpu_count() processes, whatever `workers` asks for.
     """
     model = RandomModel(model)
     if t_min > t_max:
@@ -130,7 +132,7 @@ def sweep(
     if workers == 1:
         results = map(_count_solvable, tasks)
     else:
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
             results = pool.map(_count_solvable, tasks)
     totals = dict.fromkeys(ts, 0)
     for task, solvable in zip(tasks, results):

@@ -24,6 +24,15 @@ def test_build_dedups_reversed_pairs():
     assert g.edges == ((0, 1),)
 
 
+def test_has_edge_answers_any_pair():
+    g = cp.path_graph(3)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(2, 1)
+    # non-edges, loops, vertices outside 0..n-1 and non-integers are never edges
+    for u, v in [(0, 2), (2, 0), (1, 1), (-1, 0), (2, -1), (3, 2), (1, 5), ("a", 1), (1, "a")]:
+        assert not g.has_edge(u, v)
+    assert not cp.complete_graph(1).has_edge(0, 0)
+
+
 def test_build_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError, match="outside"):
         cp.build_graph(3, [(0, 3)])

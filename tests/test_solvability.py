@@ -87,6 +87,15 @@ def test_verify_certificate_cases():
         cp.verify_certificate(k2, cp.Configuration([3]), cp.MoveCertificate({}))
 
 
+def test_complete_graph_certificates_are_pinned():
+    # spare moves are taken in vertex order, one per empty vertex
+    for g, pebbles, moves in [(cp.complete_graph(4), [5, 2, 0, 0], {(0, 2): 1, (0, 3): 1}),
+                              (cp.complete_graph(3), [2**70, 0, 0], {(0, 1): 1, (0, 2): 1})]:
+        r = cp.solve(g, cp.Configuration(pebbles))
+        assert (r.status, r.fast_path) == (cp.SOLVABLE, FP_COMPLETE_GRAPH)
+        assert r.certificate.moves == moves
+
+
 def test_execute_certificate_replays():
     p3 = cp.path_graph(3)
     c = cp.Configuration([7, 0, 0])
@@ -112,6 +121,55 @@ def test_execute_certificate_stalls_on_bad_certificate():
     assert not cp.verify_certificate(p3, cp.Configuration([1, 1, 0]), bad)
     with pytest.raises(ValueError, match="stalled"):
         cp.execute_certificate(p3, cp.Configuration([1, 1, 0]), bad)
+
+
+def test_execute_certificate_rejects_moves_off_the_graph():
+    p3 = cp.path_graph(3)
+    c = cp.Configuration([0, 0, 4])
+    # a negative index that would wrap, one past the end, and a non-adjacent pair
+    for move in [(-1, 1), (5, 0), (2, 0)]:
+        with pytest.raises(ValueError, match=rf"move \({move[0]},{move[1]}\) is not along an edge"):
+            cp.execute_certificate(p3, c, cp.MoveCertificate({move: 1}))
+
+
+class _EdgesNotListed:
+    def __iter__(self):
+        raise AssertionError("a certificate check listed the graph's edges")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_certificate_checks_never_list_the_edges():
+    rng = random.Random(10)
+    for _ in range(200):
+        g = random_connected_graph(rng, max_vertices=6)
+        h = cp.build_graph(g.vertex_count, g.edges)
+        h.edges = _EdgesNotListed()
+        n = g.vertex_count
+        c = random_configuration(rng, n, max_total=12)
+        moves = {}
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randint(-1, n), rng.randint(-1, n)
+            if i != j:
+                moves[(i, j)] = rng.randint(1, 3)
+        certs = [cp.MoveCertificate(moves)]
+        result = cp.solve(g, c, budget=20_000)
+        if result.certificate is not None:
+            certs.append(result.certificate)
+        seqs = [[(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 5))]]
+        for m in certs:
+            assert cp.verify_certificate(h, c, m) == cp.verify_certificate(g, c, m)
+            seq = _outcome(cp.execute_certificate, g, c, m)
+            assert _outcome(cp.execute_certificate, h, c, m) == seq
+            if isinstance(seq, list):
+                seqs.append(seq)
+        for seq in seqs:
+            assert _outcome(cp.apply_moves, h, c, seq) == _outcome(cp.apply_moves, g, c, seq)
 
 
 def test_apply_moves_cases():
@@ -409,6 +467,20 @@ def test_every_component_is_screened_before_any_search(monkeypatch, isolated_fir
         c = cp.Configuration(built.config.pebbles + (0,))
     r = cp.solve(g, c, budget=30000)
     assert (r.status, r.nodes_expanded, r.fast_path) == (cp.UNSOLVABLE, 0, FP_TRIVIAL_DEFICIT)
+
+
+def test_no_subgraph_is_built_after_a_refuted_component(monkeypatch):
+    built = []
+
+    def counting_build_graph(*args):
+        built.append(args[0])
+        return cp.build_graph(*args)
+
+    monkeypatch.setattr("coverpebbling.solvability.build_graph", counting_build_graph)
+    g = cp.build_graph(6, [(0, 1), (2, 3), (4, 5)])
+    r = cp.solve(g, cp.Configuration([1, 0, 3, 0, 3, 0]))
+    assert (r.status, r.fast_path) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
+    assert built == [2]  # the first component only
 
 
 def test_budget_exhaustion_is_reported_not_guessed():

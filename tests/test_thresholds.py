@@ -1,10 +1,12 @@
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import coverpebbling as cp
+from coverpebbling import thresholds
 from coverpebbling.sampling import RandomModel
 from coverpebbling.thresholds import CSV_HEADER, SweepRecord, ThresholdCurve, _block_rows
 
@@ -132,6 +134,32 @@ def test_sweep_worker_count_does_not_change_output():
             csvs = {cp.curve_to_csv(cp.sweep(model, **kwargs, workers=workers), True)
                     for workers in (1, 2, 3)}
             assert len(csvs) == 1
+
+
+def test_sweep_caps_its_processes_at_the_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(thresholds, "Pool", SerialPool)
+    kwargs = dict(n=30, t_min=40, t_max=60, step=10, trials=300, seed=5)
+    expected = cp.sweep(RandomModel.BOSE_EINSTEIN, **kwargs, workers=1)
+    assert cp.sweep(RandomModel.BOSE_EINSTEIN, **kwargs, workers=10**6) == expected
+    assert started == [os.cpu_count() or 1]
+    monkeypatch.setattr(thresholds.os, "cpu_count", lambda: None)
+    assert cp.sweep(RandomModel.BOSE_EINSTEIN, **kwargs, workers=10**6) == expected
+    assert started[-1] == 1
 
 
 def test_sweep_validation():
