@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 
 import coverpebbling as cp
@@ -183,6 +184,13 @@ def test_apply_moves_cases():
         cp.apply_moves(cp.path_graph(3), cp.Configuration([4, 0, 0]), [(0, 2)])
     with pytest.raises(ValueError, match="move #1"):
         cp.apply_moves(k2, cp.Configuration([3, 0]), [(0, 1), (0, 1)])
+    # a float equal to a vertex passes the edge test but is no vertex
+    with pytest.raises(ValueError, match=r"move #0 .*non-integer"):
+        cp.apply_moves(k2, cp.Configuration([2, 0]), [(1.0, 0)])
+    with pytest.raises(ValueError, match=r"move #0 .*not along an edge"):
+        cp.apply_moves(k2, cp.Configuration([2, 0]), [("a", 1)])
+    moved = cp.apply_moves(k2, cp.Configuration([2, 0]), [(np.int64(0), np.int32(1))])
+    assert moved.pebbles == (0, 1)
 
 
 def _single_step_execute(g, c, m):
@@ -373,6 +381,63 @@ def test_solve_matches_bruteforce_random():
             assert cp.verify_certificate(g, c, result.certificate)
             seq = cp.execute_certificate(g, c, result.certificate)
             assert min(cp.apply_moves(g, c, seq).pebbles) >= 1
+
+
+def test_solve_refutations_match_bruteforce():
+    # pebbles piled on one to three vertices force multi-step routing, so many
+    # instances reach the search and are refuted there, where the surplus
+    # test cuts branches
+    rng = random.Random(31)
+    searched_refutations = 0
+    for _ in range(1000):
+        g = random_connected_graph(rng, max_vertices=6)
+        n = g.vertex_count
+        piles = rng.sample(range(n), min(n, rng.randint(1, 3)))
+        counts = [0] * n
+        for _ in range(rng.randint(n, 14)):
+            counts[rng.choice(piles)] += 1
+        c = cp.Configuration(counts)
+        result = cp.solve(g, c)
+        assert result.solvable == cp.solve_bruteforce(g, c)
+        if result.status == cp.UNSOLVABLE and result.fast_path == FP_SEARCH:
+            searched_refutations += 1
+    assert searched_refutations >= 200
+
+
+def test_surplus_never_rises_under_a_firing():
+    # S(e) = sum over unfired v of (C(v) - 1) 2^(diam - d(v, e)); firing u
+    # (k <= (C(u) - 1) // 2 moves to unfired neighbours, then u counts as
+    # fired) never raises it at any vertex, and it is non-negative at a cover
+    rng = random.Random(8)
+    trials = covers = 0
+    while trials < 300:
+        g = random_connected_graph(rng, max_vertices=7)
+        n = g.vertex_count
+        c = random_configuration(rng, n, max_total=16)
+        fired = {v for v in range(n) if rng.random() < 0.3}
+        sources = [v for v in range(n) if v not in fired and c[v] >= 3
+                   and any(b not in fired for b in g.adjacency[v])]
+        if not sources:
+            continue
+        u = rng.choice(sources)
+        targets = [b for b in g.adjacency[u] if b not in fired]
+        k = rng.randint(1, (c[u] - 1) // 2)
+        after = list(c.pebbles)
+        after[u] -= 2 * k
+        for _ in range(k):
+            after[rng.choice(targets)] += 1
+        d = g.distances.tolist()
+        diam = int(g.distances.max())
+        unfired = [v for v in range(n) if v not in fired]
+        before = [sum((c[v] - 1) << (diam - d[v][e]) for v in unfired) for e in range(n)]
+        now = [sum((after[v] - 1) << (diam - d[v][e]) for v in unfired if v != u)
+               for e in range(n)]
+        assert all(s <= s0 for s, s0 in zip(now, before))
+        if min(after) >= 1:
+            assert min(now) >= 0
+            covers += 1
+        trials += 1
+    assert covers >= 10
 
 
 def test_weight_monotonicity_of_single_moves():
