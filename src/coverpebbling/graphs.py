@@ -6,13 +6,18 @@ computed eagerly at construction, because every downstream computation
 (stacking weights, solver pruning) reads them repeatedly: `Graph.distances`
 is a read-only (n, n) int64 array whose entry [u, v] is the hop distance
 between u and v, or UNREACHABLE (-1) when no path joins them.
+
+Two kernels give the same matrix: a bit-parallel BFS over all sources at
+once for graphs of at least 32 vertices and short eccentricities, and one
+list BFS per source otherwise (see `_bfs_all_pairs`).  Connectivity is
+read off the matrix once, at construction.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -49,6 +54,7 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(a)) for a in nbrs)
         self.distances = _bfs_all_pairs(vertex_count, self.adjacency)
         self.distances.flags.writeable = False
+        self._connected = vertex_count <= 1 or UNREACHABLE not in self.distances[0].tolist()
 
     @property
     def edge_count(self) -> int:
@@ -56,6 +62,10 @@ class Graph:
 
     def has_edge(self, u, v) -> bool:
         """Whether u and v are joined by an edge; any other pair, junk included, is not."""
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:  # 1.0 equals 1 but is not a vertex
+            return False
         s = self._edge_set
         return (u, v) in s or (v, u) in s
 
@@ -63,7 +73,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        return self.vertex_count <= 1 or UNREACHABLE not in self.distances[0].tolist()
+        return self._connected
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest member.
@@ -84,7 +94,102 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
+# When `_bfs_all_pairs` picks the bit-parallel kernel; both bounds are crossovers
+# measured against the list BFS on paths, cycles, trees, G(n, p) and K_n.
+BITSET_MIN_VERTICES = 32
+BITSET_MAX_ECCENTRICITY = 256
+
+
 def _bfs_all_pairs(n: int, adjacency) -> np.ndarray:
+    """(n, n) int64 hop distances, UNREACHABLE (-1) across components.
+
+    Two kernels give the same matrix at different costs.  `_list_bfs` runs
+    one BFS per source over Python lists, O(n (n + m)).  `_bitset_bfs` runs
+    one BFS level for every source at once, O(diam (n + m) n / 64) word
+    operations plus a fixed cost of a few numpy calls per level, so it loses
+    on small graphs and on long diameters.  It runs only when n is at least
+    BITSET_MIN_VERTICES and a probe BFS from the smallest vertex of each
+    component ends within BITSET_MAX_ECCENTRICITY levels, which bounds the
+    diameter by twice that.  Below 32 vertices the list BFS is faster on
+    paths, cycles and trees; on paths the kernel stays faster up to a
+    diameter of about 800.
+    """
+    if n >= BITSET_MIN_VERTICES and _eccentricities_within(n, adjacency, BITSET_MAX_ECCENTRICITY):
+        return _bitset_bfs(n, adjacency)
+    return _list_bfs(n, adjacency)
+
+
+def _eccentricities_within(n: int, adjacency, bound: int) -> bool:
+    """Whether a BFS from the smallest vertex of each component ends within `bound` levels."""
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        frontier = [s]
+        for _ in range(bound + 1):
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        reached.append(w)
+            if not reached:
+                break
+            frontier = reached
+        else:
+            return False
+    return True
+
+
+def _bitset_bfs(n: int, adjacency) -> np.ndarray:
+    """All sources' BFS levels at once, as word-wide ORs over bitsets.
+
+    Row v of `reach` holds the sources within the current depth of v.  One
+    level ORs each closed neighbourhood's rows together; the bits that are
+    new at depth k are ORed into the binary digits ("planes") of k, and each
+    plane is unpacked once at the end.  This is the bit-parallel BFS of
+    Akiba, Iwata and Yoshida (SIGMOD 2013) run for every source.
+    """
+    words = -(-n // 64)
+    closed = [(v, *a) for v, a in enumerate(adjacency)]  # no empty segment for reduceat
+    cols = np.fromiter(chain.from_iterable(closed), dtype=np.intp)
+    starts = np.cumsum([0] + [len(c) for c in closed[:-1]], dtype=np.intp)
+    reach = np.zeros((n, words), dtype="<u8")
+    v = np.arange(n)
+    reach[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    gathered = np.empty((len(cols), words), dtype="<u8")
+    grown, new = np.empty_like(reach), np.empty_like(reach)
+    planes = []
+    depth = 0
+    while True:
+        np.take(reach, cols, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, starts, axis=0, out=grown)
+        np.bitwise_xor(grown, reach, out=new)
+        if not new.any():
+            break
+        depth += 1
+        reach, grown = grown, reach
+        if depth.bit_length() > len(planes):
+            planes.append(np.zeros_like(reach))
+        for bit, plane in enumerate(planes):
+            if depth >> bit & 1:
+                plane |= new
+    # the dispatch rule keeps depth <= 512, so the digits add up in uint16
+    total = np.zeros((n, n), dtype=np.uint16)
+    for bit, plane in enumerate(planes):
+        digits = np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
+        total |= np.left_shift(digits, bit, dtype=np.uint16)
+    dist = total.astype(np.int64)
+    filled = np.full(words, ~np.uint64(0), dtype="<u8")
+    filled[-1] >>= np.uint64(-n % 64)
+    if (reach != filled).any():  # an unfilled row: some pair lies in different components
+        reached = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little")
+        dist[reached == 0] = UNREACHABLE
+    return dist
+
+
+def _list_bfs(n: int, adjacency) -> np.ndarray:
     """(n, n) int64 hop distances: one level-by-level BFS per source over lists."""
     rows = []
     for s in range(n):

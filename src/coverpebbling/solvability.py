@@ -182,10 +182,6 @@ def apply_moves(g: Graph, c: Configuration, seq) -> Configuration:
     for (i, j), group in groupby(seq):
         if not g.has_edge(i, j):
             raise ValueError(f"move #{idx} ({i}->{j}) is not along an edge")
-        try:  # a float equal to a vertex passes the edge test
-            i, j = operator.index(i), operator.index(j)
-        except TypeError:
-            raise ValueError(f"move #{idx} ({i}->{j}) names a non-integer vertex") from None
         run = len(list(group))
         if current[i] < 2 * run:
             raise ValueError(

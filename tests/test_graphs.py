@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coverpebbling as cp
+from coverpebbling import graphs
 from coverpebbling.graphs import UNREACHABLE
 from coverpebbling.sampling import SeededStream
 
@@ -28,9 +29,12 @@ def test_has_edge_answers_any_pair():
     g = cp.path_graph(3)
     assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(2, 1)
     # non-edges, loops, vertices outside 0..n-1 and non-integers are never edges
-    for u, v in [(0, 2), (2, 0), (1, 1), (-1, 0), (2, -1), (3, 2), (1, 5), ("a", 1), (1, "a")]:
+    for u, v in [(0, 2), (2, 0), (1, 1), (-1, 0), (2, -1), (3, 2), (1, 5), ("a", 1), (1, "a"),
+                 (1.0, 0), (0, 1.0), ("1", 0), (0, "1"), (None, 1), (1, None)]:
         assert not g.has_edge(u, v)
     assert not cp.complete_graph(1).has_edge(0, 0)
+    assert not cp.complete_graph(2).has_edge(1.0, 0)
+    assert g.has_edge(np.int64(1), np.intp(0)) and g.has_edge(np.uint8(1), 2)
 
 
 def test_build_rejects_out_of_range_endpoint():
@@ -86,6 +90,122 @@ def test_distances_axioms_random():
                     if d[u, v] >= 0 and d[v, w] >= 0:
                         assert d[u, w] >= 0
                         assert d[u, w] <= d[u, v] + d[v, w]
+
+
+def _assert_bfs_distances(g):
+    """d(u,u) = 0, d(u,v) = 1 + min over neighbours w of d(w,v), and -1 exactly when
+    no neighbour reaches v: this determines hop distances uniquely."""
+    n, d = g.vertex_count, g.distances
+    far = np.where(d == UNREACHABLE, n, d)  # longer than any path
+    for u in range(n):
+        nearest = far[list(g.adjacency[u])].min(axis=0) if g.adjacency[u] else np.full(n, n)
+        expected = np.where(nearest == n, UNREACHABLE, nearest + 1)
+        expected[u] = 0
+        assert (d[u] == expected).all(), u
+
+
+def _relabelled(n, edges, first):
+    """The graph with vertex `first` renamed 0, so that the probe BFS starts there."""
+    perm = list(range(n))
+    perm[0], perm[first] = first, 0
+    return cp.build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 128, 129, 257])
+def test_path_and_cycle_distances_closed_form(n):
+    i, j = np.indices((n, n))
+    path = cp.path_graph(n)
+    assert (path.distances == abs(i - j)).all()
+    cycle = cp.cycle_graph(n)
+    assert (cycle.distances == np.minimum(abs(i - j), n - abs(i - j))).all()
+    _assert_bfs_distances(path)
+    _assert_bfs_distances(cycle)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_cube_distances_are_hamming_distances(d):
+    n = 1 << d
+    xor = np.bitwise_xor.outer(np.arange(n), np.arange(n))
+    popcount = sum((xor >> b) & 1 for b in range(d))
+    assert (cp.cube_graph(d).distances == popcount).all()
+
+
+def test_distances_are_int64_square_and_read_only():
+    for g in (cp.path_graph(5), cp.cube_graph(7), cp.build_graph(40, [(0, 1)])):
+        n = g.vertex_count
+        assert g.distances.dtype == np.int64 and g.distances.shape == (n, n)
+        assert not g.distances.flags.writeable
+        with pytest.raises(ValueError):
+            g.distances[0, 0] = 1
+        raw = graphs._bitset_bfs(n, g.adjacency)
+        assert raw.dtype == np.int64 and raw.shape == (n, n)
+
+
+def _kernel_used(monkeypatch, g):
+    """The kernels _bfs_all_pairs runs for g, by name."""
+    used = []
+    for name in ("_bitset_bfs", "_list_bfs"):
+        def spy(n, adjacency, fn=getattr(graphs, name), name=name):
+            used.append(name)
+            return fn(n, adjacency)
+        monkeypatch.setattr(graphs, name, spy)
+    result = graphs._bfs_all_pairs(g.vertex_count, g.adjacency)
+    monkeypatch.undo()
+    assert (result == g.distances).all()
+    return used
+
+
+def test_kernel_choice_at_both_rule_boundaries(monkeypatch):
+    ecc = graphs.BITSET_MAX_ECCENTRICITY
+    floor = graphs.BITSET_MIN_VERTICES
+    path = lambda n: [(v, v + 1) for v in range(n - 1)]
+    cases = [
+        (cp.complete_graph(floor - 1), "_list_bfs"),
+        (cp.complete_graph(floor), "_bitset_bfs"),
+        (cp.path_graph(ecc + 1), "_bitset_bfs"),  # eccentricity of vertex 0 is ecc
+        (cp.path_graph(ecc + 2), "_list_bfs"),
+        # probed from the middle: distances up to 2 * ecc, so every plane is used
+        (_relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc), "_bitset_bfs"),
+        (_relabelled(2 * ecc + 2, path(2 * ecc + 2), ecc), "_list_bfs"),
+        (cp.build_graph(301, [(u + 1, v + 1) for u, v in path(300)]), "_list_bfs"),
+        (cp.build_graph(4 * 32, [(u + 32 * k, v + 32 * k)
+                                 for k in range(4) for u, v in cp.cube_graph(5).edges]),
+         "_bitset_bfs"),
+    ]
+    for g, kernel in cases:
+        assert _kernel_used(monkeypatch, g) == [kernel], g
+        assert (graphs._bitset_bfs(g.vertex_count, g.adjacency) == g.distances).all()
+        assert (graphs._list_bfs(g.vertex_count, g.adjacency) == g.distances).all()
+        _assert_bfs_distances(g)
+    middle = _relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc)
+    assert middle.distances.max() == 2 * ecc
+
+
+def test_disconnected_distances():
+    ecc = graphs.BITSET_MAX_ECCENTRICITY
+    lone_and_path = cp.build_graph(301, [(v, v + 1) for v in range(1, 300)])
+    cubes = cp.build_graph(3 * 64, [(u + 64 * k, v + 64 * k)
+                                    for k in range(3) for u, v in cp.cube_graph(6).edges])
+    for g in (lone_and_path, cubes):
+        assert not g.is_connected()
+        _assert_bfs_distances(g)
+    assert lone_and_path.components() == [[0], list(range(1, 301))]
+    assert (lone_and_path.distances[0, 1:] == UNREACHABLE).all()
+    assert lone_and_path.distances[1, 300] == 299 > ecc
+    assert len(cubes.components()) == 3
+    assert (cubes.distances[:64, 64:] == UNREACHABLE).all()
+
+
+def test_both_kernels_agree_on_random_graphs():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(20, 140)
+        p = rng.uniform(0.5, 6.0) / n  # many disconnected, some long and thin
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = cp.build_graph(n, edges)
+        bitset = graphs._bitset_bfs(n, g.adjacency)
+        assert (bitset == graphs._list_bfs(n, g.adjacency)).all()
+        assert (bitset == g.distances).all()
 
 
 def test_family_counts():

@@ -184,8 +184,8 @@ def test_apply_moves_cases():
         cp.apply_moves(cp.path_graph(3), cp.Configuration([4, 0, 0]), [(0, 2)])
     with pytest.raises(ValueError, match="move #1"):
         cp.apply_moves(k2, cp.Configuration([3, 0]), [(0, 1), (0, 1)])
-    # a float equal to a vertex passes the edge test but is no vertex
-    with pytest.raises(ValueError, match=r"move #0 .*non-integer"):
+    # a float equal to a vertex is no vertex, so the move is on no edge
+    with pytest.raises(ValueError, match=r"move #0 \(1\.0->0\) is not along an edge"):
         cp.apply_moves(k2, cp.Configuration([2, 0]), [(1.0, 0)])
     with pytest.raises(ValueError, match=r"move #0 .*not along an edge"):
         cp.apply_moves(k2, cp.Configuration([2, 0]), [("a", 1)])
