@@ -98,6 +98,9 @@ class Graph:
 # measured against the list BFS on paths, cycles, trees, G(n, p) and K_n.
 BITSET_MIN_VERTICES = 32
 BITSET_MAX_ECCENTRICITY = 256
+# Most words `_bitset_bfs` gathers at once (16 MB); a vertex block whose
+# closed neighbourhoods hold more is split, so dense graphs stay in memory.
+_GATHER_WORDS = 1 << 21
 
 
 def _bfs_all_pairs(n: int, adjacency) -> np.ndarray:
@@ -150,21 +153,35 @@ def _bitset_bfs(n: int, adjacency) -> np.ndarray:
     new at depth k are ORed into the binary digits ("planes") of k, and each
     plane is unpacked once at the end.  This is the bit-parallel BFS of
     Akiba, Iwata and Yoshida (SIGMOD 2013) run for every source.
+
+    A level gathers the neighbourhoods' rows a block of consecutive
+    vertices at a time, each block holding at most _GATHER_WORDS words
+    unless a single closed neighbourhood holds more.
     """
     words = -(-n // 64)
     closed = [(v, *a) for v, a in enumerate(adjacency)]  # no empty segment for reduceat
     cols = np.fromiter(chain.from_iterable(closed), dtype=np.intp)
-    starts = np.cumsum([0] + [len(c) for c in closed[:-1]], dtype=np.intp)
+    ends = np.cumsum([len(c) for c in closed], dtype=np.intp)
+    starts = np.concatenate(([0], ends[:-1]))
+    rows_cap = max(1, _GATHER_WORDS // words)
+    blocks = []  # (first vertex, end vertex, its columns, its segment starts)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + rows_cap, side="right")))
+        blocks.append((lo, hi, cols[starts[lo]:ends[hi - 1]], starts[lo:hi] - starts[lo]))
+        lo = hi
     reach = np.zeros((n, words), dtype="<u8")
     v = np.arange(n)
     reach[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
-    gathered = np.empty((len(cols), words), dtype="<u8")
+    gathered = np.empty((max(len(b[2]) for b in blocks), words), dtype="<u8")
     grown, new = np.empty_like(reach), np.empty_like(reach)
     planes = []
     depth = 0
     while True:
-        np.take(reach, cols, axis=0, out=gathered)
-        np.bitwise_or.reduceat(gathered, starts, axis=0, out=grown)
+        for lo, hi, block_cols, block_starts in blocks:
+            part = gathered[:len(block_cols)]
+            np.take(reach, block_cols, axis=0, out=part)
+            np.bitwise_or.reduceat(part, block_starts, axis=0, out=grown[lo:hi])
         np.bitwise_xor(grown, reach, out=new)
         if not new.any():
             break

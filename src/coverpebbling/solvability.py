@@ -223,7 +223,11 @@ def solve_bruteforce(g: Graph, c: Configuration) -> bool:
 
 @dataclass
 class SolveResult:
-    """Outcome of solve(): status, optional certificate, and search statistics."""
+    """Outcome of solve(): status, optional certificate, and search statistics.
+
+    `nodes_expanded` counts every distinct search state tested, including
+    the ones the search cuts without expanding.
+    """
 
     status: str
     certificate: MoveCertificate | None
@@ -247,17 +251,16 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     Pipeline: trivial accepts (everything covered), trivial rejects (total
     below the vertex count, or some vertex out of reach of the weighted
     pebble mass), the exact complete-graph criterion, the stacking-number
-    guarantee, and finally an exhaustive memoized search.  The search
-    prunes a branch when an empty vertex is out of reach of the unfired
-    pebble mass, and also by the exact surplus test: no cover lies below a
-    node where sum over unfired v of (C(v) - 1) 2^-d(v, e) is negative at
-    some vertex e, because no firing raises that sum.  Disconnected
+    guarantee, and finally an exhaustive memoized search.  The search has
+    one cut, the exact surplus test: no cover lies below a node where sum
+    over unfired v of (C(v) - 1) 2^-d(v, e) is negative at some vertex e,
+    because no firing raises that sum.  Disconnected
     graphs are decided per component (solvable iff every component is).
     Every component is screened by the cheap tests before any component is
     searched; the first refuted component decides the answer, and no
     subgraph is built after it.
-    A search exceeding `budget` node expansions reports UNDECIDED rather
-    than guessing.
+    A search that tests more than `budget` distinct states, cut ones
+    included, reports UNDECIDED rather than guessing.
     """
     check_pairing(g, c)
     if g.vertex_count < 1:
@@ -284,8 +287,8 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
         if isinstance(outcome, SolveResult):
             tag, moves = outcome.fast_path, outcome.certificate.moves
         else:
-            tag, *start = outcome
-            status, moves, used = _search(sub, sub_conf, budget - nodes, *start)
+            tag, pot = outcome
+            status, moves, used = _search(sub, sub_conf, budget - nodes, pot)
             nodes += used
             if tag == FP_STACKING and status == UNSOLVABLE:
                 raise AssertionError("search contradicted the stacking-number guarantee")
@@ -316,15 +319,13 @@ def _screen(g: Graph, c: Configuration):
     # pot[u][v] = 2^(diam - d(u,v)) makes "weight >= 1" an exact int test against 2^diam
     dist = g.distances.tolist()
     diam = max(map(max, dist))
-    thresh = 1 << diam
     pot = [[1 << (diam - d) for d in row] for row in dist]
-    empties = [v for v, x in enumerate(c.pebbles) if x == 0]
-    weights = [sum(map(operator.mul, c.pebbles, pot[e])) for e in empties]  # pot is symmetric
-    if min(weights) < thresh:
+    if any(sum(map(operator.mul, c.pebbles, pot[e])) < 1 << diam  # pot is symmetric
+           for e, x in enumerate(c.pebbles) if x == 0):
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
     # the cover pebbling number is the largest stacking weight sum_v 2^d(u,v)
     lam = max(sum(1 << d for d in row) for row in dist)
-    return FP_STACKING if t >= lam else FP_SEARCH, pot, thresh, empties, weights
+    return FP_STACKING if t >= lam else FP_SEARCH, pot
 
 
 def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
@@ -347,7 +348,7 @@ def _compositions(k: int, bins: int):
             yield (first,) + rest
 
 
-def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weights):
+def _search(g: Graph, c: Configuration, budget: int, pot):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
@@ -356,35 +357,33 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weigh
     firing each source vertex exactly once, in topological order, sending
     pebbles only to not-yet-fired vertices.  The search therefore branches
     on (source vertex, outgoing move multiset) pairs and memoizes on the
-    pair (configuration, fired set).  Pruning: a child is cut when its
-    total drops below the vertex count, or when some empty vertex exceeds
-    the reach of the weighted mass 2^-dist of still-unfired vertices.
+    pair (configuration, fired set).  A firing sends at most as many moves
+    as keep the total at or above the vertex count.
 
-    The surplus test cuts further.  Let S(e) = sum over unfired v of
-    (C(v) - 1) pot[v][e].  When u fires k <= (C(u) - 1) // 2 moves to
+    The one cut is the exact surplus test.  Let S(e) = sum over unfired v
+    of (C(v) - 1) pot[v][e].  When u fires k <= (C(u) - 1) // 2 moves to
     unfired neighbours b and leaves the unfired set, S(e) changes by
     -(C(u) - 1) pot[u][e] + sum_b m_b pot[b][e] <= -(C(u) - 1 - 2k) pot[u][e]
     <= 0 at every vertex e, because pot[b][e] <= 2 pot[u][e].  At a cover
     every term is non-negative, so no cover lies below a node with some
-    S(e) < 0.  At an empty e, S(e) >= 0 implies the weight test; the
-    surplus test applies at every other vertex too.  A child that fails it
-    is counted as a node but not expanded.  Only states with no cover below
-    them are cut, so the first cover found, and its certificate, are the
-    same as without the test.
+    S(e) < 0.  The test implies the reach test at every empty vertex e:
+    a firing leaves its source covered, so e is unfired, and S(e) >= 0
+    gives sum_v C(v) pot[v][e] >= pot[e][e] = 2^diam.  A child that fails
+    the test is counted as a node but not expanded.  Only states with no
+    cover below them are cut, so the first cover found, and its
+    certificate, are the same as without the test.
 
     Children are tried in order of how many still-empty vertices the firing
     covers, most first; ties keep generation order (source u ascending, then
     the move count k, then the composition).  On an unsolvable instance the
-    search visits every reachable, unpruned state once, so the order cannot
-    change its node count; on a solvable one it decides how soon a cover is
-    found (the figure gadget takes 63 nodes this way and 528,358 in plain
-    generation order).
+    search visits every reachable state whose parent passes the cut once,
+    so the order cannot change its node count; on a solvable one it decides
+    how soon a cover is found (the figure gadget takes 63 nodes this way and
+    528,358 in plain generation order).
 
-    `pot` (2^(diam - dist), Python ints) and `thresh` (2^diam) come from
-    _screen; `weights[i]` is the pebble mass sum_u C(u) pot[u][e] at
-    the i-th vertex e of `empties`, kept only at a node's own empty vertices.
-    A node's surplus list holds S(e) at every vertex e, exact ints as well.
-    The depth-first search runs as a loop over an explicit stack holding one
+    `pot` (2^(diam - dist), Python ints) comes from _screen.  A node's
+    surplus list holds S(e) at every vertex e, exact ints as well.  The
+    depth-first search runs as a loop over an explicit stack holding one
     child generator per node on the current path, so it needs no recursion.
     """
     n = g.vertex_count
@@ -402,11 +401,10 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weigh
 
     visited = set()
 
-    def children(carr, fired, t, weights, empties, surplus):
-        """Unvisited children that pass the empties test, in rank order.
+    def children(carr, fired, t, surplus):
+        """Unvisited children in rank order, each with its surplus list.
 
-        Each comes with its empty vertices and its surplus list, or None in
-        place of the list when the surplus test refutes it.
+        The list is None when the surplus test refutes the child.
         """
         candidates = []
         waste = t - n
@@ -437,39 +435,24 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weigh
             if key in visited:
                 continue
             visited.add(key)
-            # the fired source's mass leaves; a firing leaves it covered, so
-            # only old empties can stay empty
-            moved = [(pot[u], -carr[u])] + [(pot[b], m) for b, m in zip(targets, vec) if m]
-            left = []
-            w2 = []
-            for e, w in zip(empties, weights):
-                if child[e]:
-                    continue
+            # the fired source leaves the unfired set with weight 1 - C(u)
+            moved = [(pot[u], 1 - carr[u])] + [(pot[b], m) for b, m in zip(targets, vec) if m]
+            s2 = []
+            for e, s in enumerate(surplus):
                 for row, m in moved:
-                    w += m * row[e]
-                if w < thresh:
+                    s += m * row[e]
+                if s < 0:
+                    s2 = None
                     break
-                left.append(e)
-                w2.append(w)
-            else:
-                # the fired source leaves with weight 1 - C(u)
-                moved[0] = (pot[u], 1 - carr[u])
-                s2 = []
-                for e, s in enumerate(surplus):
-                    for row, m in moved:
-                        s += m * row[e]
-                    if s < 0:
-                        s2 = None
-                        break
-                    s2.append(s)
-                yield (u, targets, vec), child, fired2, t - k, w2, left, s2
+                s2.append(s)
+            yield (u, targets, vec), child, fired2, t - k, s2
 
     nodes = 1  # the root
     if nodes > budget:
         return UNDECIDED, None, nodes
     # one (move into the node, generator of its children) frame per node on the path
     surplus = [sum((p - 1) * x for p, x in zip(c.pebbles, row)) for row in pot]  # pot is symmetric
-    stack = [(None, children(list(c.pebbles), 0, c.total, weights, empties, surplus))]
+    stack = [(None, children(list(c.pebbles), 0, c.total, surplus))]
     while stack:
         node = next(stack[-1][1], None)
         if node is None:
@@ -478,12 +461,12 @@ def _search(g: Graph, c: Configuration, budget: int, pot, thresh, empties, weigh
         nodes += 1
         if nodes > budget:
             return UNDECIDED, None, nodes
-        move, carr, fired, t, w, empties, surplus = node
-        if not empties:
+        move, carr, fired, t, surplus = node
+        if 0 not in carr:
             # each vertex fires at most once on a path, so every (u, b) occurs once
             path = [m for m, _ in stack[1:]] + [move]
             moves = {(u, b): m for u, targets, vec in path for b, m in zip(targets, vec) if m}
             return SOLVABLE, moves, nodes
         if surplus is not None:
-            stack.append((move, children(carr, fired, t, w, empties, surplus)))
+            stack.append((move, children(carr, fired, t, surplus)))
     return UNSOLVABLE, None, nodes

@@ -7,6 +7,7 @@ pile stacked on the vertex attaining the maximum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .graphs import UNREACHABLE, Graph
@@ -23,6 +24,12 @@ class StackingResult:
 
 def stacking_weight(g: Graph, v: int) -> int:
     """Exact sum_u 2^dist(u,v), in unbounded integer arithmetic."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex must be an integer, not {type(v).__name__}") from None
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} is not in 0..{g.vertex_count - 1}")
     if not g.is_connected():
         u = g.distances[0].tolist().index(UNREACHABLE)
         raise ValueError(f"graph is disconnected: no path between vertices 0 and {u}")

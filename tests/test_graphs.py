@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,34 @@ def test_both_kernels_agree_on_random_graphs():
         bitset = graphs._bitset_bfs(n, g.adjacency)
         assert (bitset == graphs._list_bfs(n, g.adjacency)).all()
         assert (bitset == g.distances).all()
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_bitset_kernel_gathers_in_blocks(monkeypatch, cap):
+    # a cap of a few words splits every level into many blocks, some of them
+    # a single closed neighbourhood larger than the cap
+    monkeypatch.setattr(graphs, "_GATHER_WORDS", cap)
+    rng = random.Random(29)
+    dense = [cp.complete_graph(70), cp.complete_multipartite([40, 30, 3]), cp.cube_graph(6)]
+    sparse = [cp.gnp_random_graph(n, rng.uniform(0.5, 6.0) / n, rng.getrandbits(63))
+              for n in (40, 90, 150) for _ in range(5)]
+    for g in dense + sparse:
+        n = g.vertex_count
+        assert (graphs._bitset_bfs(n, g.adjacency) == graphs._list_bfs(n, g.adjacency)).all()
+
+
+def test_bitset_kernel_memory_stays_near_its_result():
+    # a single gather of K_1000's closed neighbourhoods would take 128 MB
+    n = 1000
+    adjacency = [tuple(w for w in range(n) if w != v) for v in range(n)]
+    tracemalloc.start()
+    try:
+        dist = graphs._bitset_bfs(n, adjacency)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert (dist == 1 - np.eye(n, dtype=np.int64)).all()
 
 
 def test_family_counts():

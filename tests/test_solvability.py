@@ -433,6 +433,12 @@ def test_surplus_never_rises_under_a_firing():
         now = [sum((after[v] - 1) << (diam - d[v][e]) for v in unfired if v != u)
                for e in range(n)]
         assert all(s <= s0 for s, s0 in zip(now, before))
+        # at an unfired empty vertex e, S(e) >= 0 implies the reach test
+        # sum over unfired v of C(v) 2^(diam - d(v, e)) >= 2^diam
+        assert all(sum(state[v] << (diam - d[v][e]) for v in live) >= 1 << diam
+                   for state, live, surplus in ((c.pebbles, unfired, before),
+                                                (after, [v for v in unfired if v != u], now))
+                   for e in live if state[e] == 0 and surplus[e] >= 0)
         if min(after) >= 1:
             assert min(now) >= 0
             covers += 1

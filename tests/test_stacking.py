@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import coverpebbling as cp
@@ -11,6 +12,13 @@ def test_stacking_weight_hand_values():
     assert cp.stacking_weight(p3, 1) == 1 + 2 + 2
     assert cp.stacking_weight(p3, 0) == 1 + 2 + 4
     assert cp.stacking_weight(cp.complete_graph(1), 0) == 1
+    assert cp.stacking_weight(cp.path_graph(4), np.int64(3)) == 15
+
+
+@pytest.mark.parametrize("v", [-1, 4, None, 1.0, "1"])
+def test_stacking_weight_rejects_a_non_vertex(v):
+    with pytest.raises(ValueError):
+        cp.stacking_weight(cp.path_graph(4), v)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
