@@ -9,7 +9,7 @@ pebble to a collector at cost eight, and a drain path makes the count come
 out only when the chosen subsets cover every element exactly once.
 
 The negative direction exercises the exhaustive solver; expect the second
-half of this script to run for about a minute.
+half of this script to run for about ten seconds.
 """
 
 import time
@@ -36,7 +36,7 @@ negative = cp.X4CInstance(8, [[0, 1, 2, 3], [3, 4, 5, 6], [0, 5, 6, 7]])
 print("\nnegative instance (every element coverable, no disjoint choice):")
 print("exact cover:", cp.exact_cover_bruteforce(negative))
 built = cp.build_reduction(negative)
-print("searching the gadget exhaustively (about a minute) ...")
+print("searching the gadget exhaustively (about ten seconds) ...")
 start = time.time()
 result = cp.solve(built.graph, built.config)
 print(f"pebbling verdict: {result.status} after {result.nodes_expanded} node "

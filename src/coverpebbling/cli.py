@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--certificate", help="write the move certificate JSON here")
     p.add_argument("--budget", type=_positive_int, default=solvability.DEFAULT_NODE_BUDGET,
                    help="most search states to test, cut ones included, before "
-                        "answering undecided")
+                        "answering undecided; each state is one pebbling move")
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive brute-force oracle instead of the solver")
 

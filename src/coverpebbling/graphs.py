@@ -159,9 +159,10 @@ def _bitset_bfs(n: int, adjacency) -> np.ndarray:
     unless a single closed neighbourhood holds more.
     """
     words = -(-n // 64)
-    closed = [(v, *a) for v, a in enumerate(adjacency)]  # no empty segment for reduceat
-    cols = np.fromiter(chain.from_iterable(closed), dtype=np.intp)
-    ends = np.cumsum([len(c) for c in closed], dtype=np.intp)
+    # closed neighbourhoods in CSR form, so reduceat meets no empty segment
+    ends = np.cumsum(np.fromiter(map(len, adjacency), dtype=np.intp, count=n) + 1)
+    cols = np.fromiter(chain.from_iterable((v, *a) for v, a in enumerate(adjacency)),
+                       dtype=np.intp, count=int(ends[-1]))
     starts = np.concatenate(([0], ends[:-1]))
     rows_cap = max(1, _GATHER_WORDS // words)
     blocks = []  # (first vertex, end vertex, its columns, its segment starts)

@@ -179,7 +179,11 @@ def apply_moves(g: Graph, c: Configuration, seq) -> Configuration:
     check_pairing(g, c)
     current = list(c.pebbles)
     idx = 0
-    for (i, j), group in groupby(seq):
+    for move, group in groupby(seq):
+        try:
+            i, j = move
+        except (TypeError, ValueError):
+            raise ValueError(f"move #{idx} {move!r} is not a (source, target) pair") from None
         if not g.has_edge(i, j):
             raise ValueError(f"move #{idx} ({i}->{j}) is not along an edge")
         run = len(list(group))
@@ -226,7 +230,8 @@ class SolveResult:
     """Outcome of solve(): status, optional certificate, and search statistics.
 
     `nodes_expanded` counts every distinct search state tested, including
-    the ones the search cuts without expanding.
+    the ones the search cuts without expanding; each state is one pebbling
+    move past its parent.
     """
 
     status: str
@@ -251,16 +256,18 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     Pipeline: trivial accepts (everything covered), trivial rejects (total
     below the vertex count, or some vertex out of reach of the weighted
     pebble mass), the exact complete-graph criterion, the stacking-number
-    guarantee, and finally an exhaustive memoized search.  The search has
-    one cut, the exact surplus test: no cover lies below a node where sum
-    over unfired v of (C(v) - 1) 2^-d(v, e) is negative at some vertex e,
-    because no firing raises that sum.  Disconnected
+    guarantee, and finally an exhaustive memoized search, one pebbling move
+    per node.  The search has one cut, the exact surplus test: no cover
+    lies below a node where sum over unfired or active v of
+    (C(v) - 1) 2^-d(v, e) is negative at some vertex e, because no move
+    raises that sum.  Disconnected
     graphs are decided per component (solvable iff every component is).
     Every component is screened by the cheap tests before any component is
     searched; the first refuted component decides the answer, and no
     subgraph is built after it.
-    A search that tests more than `budget` distinct states, cut ones
-    included, reports UNDECIDED rather than guessing.
+    A search that tests more than `budget` distinct states (moves), cut
+    ones included, reports UNDECIDED rather than guessing; each state costs
+    one pass over the vertices and edges, so the budget bounds the work.
     """
     check_pairing(g, c)
     if g.vertex_count < 1:
@@ -338,48 +345,39 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     return MoveCertificate(Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p))
 
 
-def _compositions(k: int, bins: int):
-    """Ordered splits of k into `bins` non-negative parts."""
-    if bins == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, bins - 1):
-            yield (first,) + rest
-
-
 def _search(g: Graph, c: Configuration, budget: int, pot):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
     acyclic (cancelling a move cycle only raises the final count on every
     vertex involved), and an acyclic solution can always be executed by
-    firing each source vertex exactly once, in topological order, sending
-    pebbles only to not-yet-fired vertices.  The search therefore branches
-    on (source vertex, outgoing move multiset) pairs and memoizes on the
-    pair (configuration, fired set).  A firing sends at most as many moves
-    as keep the total at or above the vertex count.
+    firing each source vertex once, in topological order, sending pebbles
+    only to not-yet-fired vertices.  One node is one move.  A state is
+    (configuration, fired set, active source a, a's last target), with a in
+    the fired set, and states are memoized.  A child either sends one more
+    pebble from a to an unfired neighbour at or after its last target, or
+    stops a and starts an unfired source with its first move.  A sender
+    holds at least three pebbles, so it stays covered, and no move takes
+    the total below the vertex count.  Targets rise within a source, so
+    each multiset of moves out of it is tried as exactly one sequence.
 
-    The one cut is the exact surplus test.  Let S(e) = sum over unfired v
-    of (C(v) - 1) pot[v][e].  When u fires k <= (C(u) - 1) // 2 moves to
-    unfired neighbours b and leaves the unfired set, S(e) changes by
-    -(C(u) - 1) pot[u][e] + sum_b m_b pot[b][e] <= -(C(u) - 1 - 2k) pot[u][e]
-    <= 0 at every vertex e, because pot[b][e] <= 2 pot[u][e].  At a cover
-    every term is non-negative, so no cover lies below a node with some
-    S(e) < 0.  The test implies the reach test at every empty vertex e:
-    a firing leaves its source covered, so e is unfired, and S(e) >= 0
-    gives sum_v C(v) pot[v][e] >= pot[e][e] = 2^diam.  A child that fails
-    the test is counted as a node but not expanded.  Only states with no
-    cover below them are cut, so the first cover found, and its
-    certificate, are the same as without the test.
+    The one cut is the exact surplus test.  Let S(e) = sum over unfired or
+    active v of (C(v) - 1) pot[v][e].  A move a -> b changes S(e) by
+    pot[b][e] - 2 pot[a][e] <= 0, because b is a neighbour of a; stopping a
+    changes it by -(C(a) - 1) pot[a][e] <= 0.  At a cover every term is
+    non-negative, so no cover lies below a node with some S(e) < 0.  An
+    empty vertex e is unfired, so S(e) >= 0 implies that e is within reach
+    of the live pebble mass.  A child that fails the test is counted as a
+    node but not expanded.  When stopping a alone makes S negative, no new
+    source is started; the root stops no source and keeps its children.
 
-    Children are tried in order of how many still-empty vertices the firing
-    covers, most first; ties keep generation order (source u ascending, then
-    the move count k, then the composition).  On an unsolvable instance the
-    search visits every reachable state whose parent passes the cut once,
-    so the order cannot change its node count; on a solvable one it decides
-    how soon a cover is found (the figure gadget takes 63 nodes this way and
-    528,358 in plain generation order).
+    Moves into empty vertices are tried first.  Within that order the
+    active source's moves come first, then new sources ranked by
+    min((C(u) - 1) // 2, t - n, u's empty unfired neighbours), most first,
+    ties by u ascending.  On an unsolvable instance every state below a
+    node that passes the cut is tested once, so the order cannot change the
+    node count; on a solvable one it decides how soon a cover is found (the
+    figure gadget takes 21 nodes this way and 80,680 in generation order).
 
     `pot` (2^(diam - dist), Python ints) comes from _screen.  A node's
     surplus list holds S(e) at every vertex e, exact ints as well.  The
@@ -389,70 +387,62 @@ def _search(g: Graph, c: Configuration, budget: int, pot):
     n = g.vertex_count
     adjacency = g.adjacency
     key_of = bytes if c.total < 256 else tuple
-
-    comp_cache = {}
-
-    def splits(k, bins):
-        cached = comp_cache.get((k, bins))
-        if cached is None:
-            cached = tuple(_compositions(k, bins))
-            comp_cache[(k, bins)] = cached
-        return cached
-
     visited = set()
 
-    def children(carr, fired, t, surplus):
+    def children(carr, fired, t, surplus, move):
         """Unvisited children in rank order, each with its surplus list.
 
-        The list is None when the surplus test refutes the child.
+        `move` is the move into the node, None at the root.  The list is
+        None when the surplus test refutes the child.
         """
-        candidates = []
-        waste = t - n
-        for u in range(n):
-            cu = carr[u]
-            if cu < 3 or fired >> u & 1:
-                continue
-            targets = [b for b in adjacency[u] if not fired >> b & 1]
-            if not targets:
-                continue
-            kmax = (cu - 1) // 2
-            if kmax > waste:
-                kmax = waste
-            is_empty = [carr[b] == 0 for b in targets]
-            for k in range(1, kmax + 1):
-                for vec in splits(k, len(targets)):
-                    covered = sum(1 for m, empty in zip(vec, is_empty) if m and empty)
-                    candidates.append((covered, u, targets, k, vec))
-        candidates.sort(key=operator.itemgetter(0), reverse=True)
-        for _, u, targets, k, vec in candidates:
+        if t == n:
+            return
+        ordered = []  # (source, target, surplus before the move, fired set)
+        stopped = surplus  # S once a stops; the root stops no source
+        if move is not None:
+            a, last = move
+            if carr[a] >= 3:
+                ordered += [(a, b, surplus, fired) for b in adjacency[a]
+                            if b >= last and not fired >> b & 1]
+            stopped = [s - (carr[a] - 1) * x for s, x in zip(surplus, pot[a])]
+            if min(stopped) < 0:  # every new source's first move would be cut
+                stopped = None
+        if stopped is not None:
+            ranked = []
+            for u in range(n):
+                cu = carr[u]
+                if cu < 3 or fired >> u & 1:
+                    continue
+                targets = [b for b in adjacency[u] if not fired >> b & 1]
+                if targets:
+                    empties = sum(1 for b in targets if not carr[b])
+                    ranked.append((min((cu - 1) // 2, t - n, empties), u, targets))
+            ranked.sort(key=operator.itemgetter(0), reverse=True)
+            ordered += [(u, b, stopped, fired | 1 << u) for _, u, targets in ranked for b in targets]
+        ordered.sort(key=lambda m: carr[m[1]] > 0)
+        for u, b, before, fired2 in ordered:
             child = list(carr)
-            child[u] -= 2 * k
-            for b, m in zip(targets, vec):
-                if m:
-                    child[b] += m
-            fired2 = fired | 1 << u
-            key = (key_of(child), fired2)
+            child[u] -= 2
+            child[b] += 1
+            key = (key_of(child), fired2, u, b)
             if key in visited:
                 continue
             visited.add(key)
-            # the fired source leaves the unfired set with weight 1 - C(u)
-            moved = [(pot[u], 1 - carr[u])] + [(pot[b], m) for b, m in zip(targets, vec) if m]
             s2 = []
-            for e, s in enumerate(surplus):
-                for row, m in moved:
-                    s += m * row[e]
+            for s, gain, loss in zip(before, pot[b], pot[u]):
+                s += gain - 2 * loss
                 if s < 0:
                     s2 = None
                     break
                 s2.append(s)
-            yield (u, targets, vec), child, fired2, t - k, s2
+            yield (u, b), child, fired2, t - 1, s2
 
     nodes = 1  # the root
     if nodes > budget:
         return UNDECIDED, None, nodes
     # one (move into the node, generator of its children) frame per node on the path
     surplus = [sum((p - 1) * x for p, x in zip(c.pebbles, row)) for row in pot]  # pot is symmetric
-    stack = [(None, children(list(c.pebbles), 0, c.total, surplus))]
+    stack = [(None, children(list(c.pebbles), 0, c.total, surplus, None))]
     while stack:
         node = next(stack[-1][1], None)
         if node is None:
@@ -463,10 +453,7 @@ def _search(g: Graph, c: Configuration, budget: int, pot):
             return UNDECIDED, None, nodes
         move, carr, fired, t, surplus = node
         if 0 not in carr:
-            # each vertex fires at most once on a path, so every (u, b) occurs once
-            path = [m for m, _ in stack[1:]] + [move]
-            moves = {(u, b): m for u, targets, vec in path for b, m in zip(targets, vec) if m}
-            return SOLVABLE, moves, nodes
+            return SOLVABLE, Counter([m for m, _ in stack[1:]] + [move]), nodes
         if surplus is not None:
-            stack.append((move, children(carr, fired, t, surplus)))
+            stack.append((move, children(carr, fired, t, surplus, move)))
     return UNSOLVABLE, None, nodes

@@ -147,9 +147,10 @@ def test_search_order_invariants():
     thinned = [6 if name[0] == "B" and name[1:].isdigit() else built.config[v]
                for v, name in sorted(built.labels.items())]
     r = cp.solve(built.graph, cp.Configuration(thinned))
-    assert (r.status, r.nodes_expanded) == (cp.UNSOLVABLE, 140)
-    # trying the children that cover the most empty vertices first finds the
-    # figure cover fast; tried in generation order it takes about 530,000 nodes
+    assert (r.status, r.nodes_expanded) == (cp.UNSOLVABLE, 85)
+    # trying moves into empty vertices first, from the sources that can cover
+    # the most of them, finds the figure cover in 21 nodes; tried in
+    # generation order it takes 80,680
     built = cp.build_reduction(cp.X4CInstance(8, FIGURE_SETS))
     r = cp.solve(built.graph, built.config, budget=1000)
     assert r.status == cp.SOLVABLE

@@ -1,5 +1,7 @@
 import random
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,9 @@ def test_apply_moves_cases():
         cp.apply_moves(k2, cp.Configuration([2, 0]), [("a", 1)])
     moved = cp.apply_moves(k2, cp.Configuration([2, 0]), [(np.int64(0), np.int32(1))])
     assert moved.pebbles == (0, 1)
+    for junk in (5, None, (0,), (0, 1, 2)):
+        with pytest.raises(ValueError, match=r"move #1 .*not a \(source, target\) pair"):
+            cp.apply_moves(k2, cp.Configuration([4, 0]), [(0, 1), junk])
 
 
 def _single_step_execute(g, c, m):
@@ -446,6 +451,47 @@ def test_surplus_never_rises_under_a_firing():
     assert covers >= 10
 
 
+def _surplus(g, state, live):
+    """S(e) = sum over live v of (state(v) - 1) 2^(diam - d(v, e)) at every vertex e."""
+    d = g.distances.tolist()
+    diam = max(map(max, d))
+    return [sum((state[v] - 1) << (diam - d[v][e]) for v in live) for e in range(len(state))]
+
+
+def test_surplus_never_rises_under_a_move_or_a_stop():
+    # the search's per-move cut: with the sum over unfired vertices and the
+    # active source a, one move a -> b to an unfired neighbour and a stop of
+    # a never raise S at any vertex, and S >= 0 wherever every vertex is covered
+    rng = random.Random(15)
+    trials = covers = 0
+    while trials < 300:
+        g = random_connected_graph(rng, max_vertices=7)
+        n = g.vertex_count
+        c = random_configuration(rng, n, max_total=16)
+        unfired = [v for v in range(n) if rng.random() >= 0.3]
+        sources = [v for v in unfired if c[v] >= 3
+                   and any(b in unfired for b in g.adjacency[v])]
+        if not sources:
+            continue
+        a = rng.choice(sources)
+        b = rng.choice([b for b in g.adjacency[a] if b in unfired])
+        moved = list(c.pebbles)
+        moved[a] -= 2
+        moved[b] += 1
+        stopped = [v for v in unfired if v != a]
+        states = [(c.pebbles, _surplus(g, c.pebbles, unfired)),
+                  (moved, _surplus(g, moved, unfired)),
+                  (moved, _surplus(g, moved, stopped))]
+        for (_, before), (_, after) in zip(states, states[1:]):
+            assert all(s <= s0 for s, s0 in zip(after, before))
+        for state, surplus in states:
+            if min(state) >= 1:
+                assert min(surplus) >= 0
+                covers += 1
+        trials += 1
+    assert covers >= 10
+
+
 def test_weight_monotonicity_of_single_moves():
     # the weighted pebble mass seen from any target never increases
     rng = random.Random(4)
@@ -565,6 +611,28 @@ def test_budget_exhaustion_is_reported_not_guessed():
     assert r.undecided and r.nodes_expanded == 1
     with pytest.raises(ValueError, match="budget"):
         r.solvable  # no boolean answer available
+
+
+def test_budget_bounds_the_work():
+    # one node is one move, so a budget-limited call stops after bounded work
+    # however tall a pile is and however many ways it could be split
+    g = cp.path_graph(10)
+    c = cp.Configuration([1] * 8 + [2**10, 0])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = cp.solve(g, c, budget=1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.status == cp.UNDECIDED
+    assert elapsed < 0.5 and peak < 1 << 20
+    g = cp.cube_graph(7)
+    start = time.perf_counter()
+    r = cp.solve(g, cp.Configuration([300] + [0] * 127), budget=1000)
+    assert time.perf_counter() - start < 2
+    assert r.status == cp.UNSOLVABLE  # a stack needs 3^7 pebbles on Q_7
 
 
 @pytest.mark.parametrize("g, lam", [
