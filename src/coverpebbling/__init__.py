@@ -63,7 +63,7 @@ from .solvability import (
     solve_bruteforce,
     verify_certificate,
 )
-from .stacking import StackingResult, cover_pebbling_number, stacking_weight
+from .stacking import StackingResult, cover_pebbling_number, stacking_weight, stacking_weights
 from .thresholds import (
     SweepRecord,
     ThresholdCurve,

@@ -60,13 +60,29 @@ def _parts(text: str) -> list:
 
 
 def _load_json(path: str) -> dict:
+    """Read an input file; a JSON boolean anywhere in it is rejected.
+
+    Python reads true and false as the integers 1 and 0, and no input
+    format has a boolean field, so they are refused here, at the file
+    boundary, rather than in the Graph and Configuration constructors.
+    """
     try:
         with open(path) as handle:
-            return json.load(handle)
+            document = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    pending = [document]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, bool):
+            raise ValueError(f"{path} holds the JSON boolean {json.dumps(item)}, not a number")
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+    return document
 
 
 def _cannot_write(path: str, exc: OSError) -> _UsageError:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .graphs import Configuration, Graph, build_graph, check_pairing
+from .stacking import stacking_weights
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -330,8 +331,7 @@ def _screen(g: Graph, c: Configuration):
     if any(sum(map(operator.mul, c.pebbles, pot[e])) < 1 << diam  # pot is symmetric
            for e, x in enumerate(c.pebbles) if x == 0):
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    # the cover pebbling number is the largest stacking weight sum_v 2^d(u,v)
-    lam = max(sum(1 << d for d in row) for row in dist)
+    lam = max(stacking_weights(g))  # the cover pebbling number
     return FP_STACKING if t >= lam else FP_SEARCH, pot
 
 

@@ -3,12 +3,21 @@
 The cover pebbling number of a connected graph equals the largest stacking
 weight max_v sum_u 2^dist(u,v): the worst initial distribution is the whole
 pile stacked on the vertex attaining the maximum.
+
+`stacking_weights` computes every vertex's weight exactly with O(diam / bits)
+big-int operations per vertex instead of O(n): it counts each row's terms by
+distance and sums each run of `bits = 62 - n.bit_length()` consecutive
+distances in int64, where a run's sum stays below n 2^bits < 2^62, before the
+run sums are shifted into place as Python ints.  No weight passes through a
+float.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import UNREACHABLE, Graph
 
@@ -22,6 +31,12 @@ class StackingResult:
     per_vertex_weights: tuple
 
 
+def _require_connected(g: Graph) -> None:
+    if not g.is_connected():
+        u = g.distances[0].tolist().index(UNREACHABLE)
+        raise ValueError(f"graph is disconnected: no path between vertices 0 and {u}")
+
+
 def stacking_weight(g: Graph, v: int) -> int:
     """Exact sum_u 2^dist(u,v), in unbounded integer arithmetic."""
     try:
@@ -30,17 +45,51 @@ def stacking_weight(g: Graph, v: int) -> int:
         raise ValueError(f"vertex must be an integer, not {type(v).__name__}") from None
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} is not in 0..{g.vertex_count - 1}")
-    if not g.is_connected():
-        u = g.distances[0].tolist().index(UNREACHABLE)
-        raise ValueError(f"graph is disconnected: no path between vertices 0 and {u}")
+    _require_connected(g)
     return sum(1 << d for d in g.distances[v].tolist())
+
+
+def stacking_weights(g: Graph) -> list:
+    """Every vertex's stacking weight sum_u 2^dist(u,v), as exact Python ints.
+
+    Row v's terms are grouped into runs of `bits` consecutive distances.  A
+    run holds at most n terms below 2^bits each, so its sum stays below
+    n 2^bits < 2^(n.bit_length() + bits) = 2^62 and is exact in int64.  One
+    `np.bincount` histogram of (v, d) counts the terms, a product with the
+    powers 2^0 .. 2^(bits-1) sums each run, and the runs of a row are then
+    shifted together as Python ints: O(diam / bits) big-int steps per
+    vertex.  Beyond `g.distances` this holds two int64 arrays of about n^2
+    entries, the histogram and its index.  When the whole diameter fits in
+    one run, `(1 << dist).sum` is the same formula with no histogram; it is
+    also the faster choice on the 5-8 vertex graphs the solver screens,
+    about 3 us a graph against 5-7 us for the per-row Python sum over
+    `dist.tolist()`.
+    """
+    _require_connected(g)
+    n = g.vertex_count
+    dist = g.distances
+    bits = 62 - n.bit_length()
+    diam = int(dist.max()) if n > bits else 0  # else diam < n <= bits anyway
+    if diam < bits:
+        return (1 << dist).sum(axis=1).tolist()
+    runs = -(-(diam + 1) // bits)
+    width = runs * bits
+    index = dist + np.arange(0, n * width, width, dtype=np.int64)[:, None]
+    hist = np.bincount(index.ravel(), minlength=n * width).reshape(n, runs, bits)
+    run_sums = (hist @ (np.int64(1) << np.arange(bits, dtype=np.int64))).tolist()
+    weights = []
+    for row in run_sums:
+        w = 0
+        for s in reversed(row):
+            w = (w << bits) + s
+        weights.append(w)
+    return weights
 
 
 def cover_pebbling_number(g: Graph) -> StackingResult:
     """Cover pebbling number of a connected graph, ties broken by smallest vertex."""
     if g.vertex_count < 1:
         raise ValueError("cover pebbling number needs at least one vertex")
-    weights = tuple(stacking_weight(g, v) for v in range(g.vertex_count))
+    weights = tuple(stacking_weights(g))
     best = max(weights)
     return StackingResult(best, weights.index(best), weights)
-

@@ -288,6 +288,29 @@ def test_non_integer_certificate_and_instance_are_rejected(p3, tmp_path, capsys)
     assert captured.err.count("error: ") == 2
 
 
+# each would be read as 1 or 0 and succeed if booleans were taken for integers
+_BOOLEAN_INPUTS = {
+    "graph": ("lambda", {"--graph": {"n": True, "edges": []}}),
+    "configuration": ("solve", {"--graph": _P3, "--config": {"pebbles": [True, 4, False]}}),
+    "instance": ("xcover", {"--instance": {"ground_set_size": 8,
+                                           "sets": [[0, True, 2, 3], [4, 5, 6, 7]]}}),
+    "certificate": ("verify", {"--graph": _P3, "--config": {"pebbles": [7, 0, 0]},
+                               "--certificate": {"moves": [[0, 1, 3], [1, 2, True]]}}),
+}
+
+
+@pytest.mark.parametrize("command, files", _BOOLEAN_INPUTS.values(), ids=list(_BOOLEAN_INPUTS))
+def test_json_booleans_are_rejected(tmp_path, capsys, command, files):
+    argv = [command]
+    for i, (option, payload) in enumerate(files.items()):
+        argv += [option, _write(tmp_path / f"{i}.json", payload)]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "JSON boolean" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["threshold", "--model", "mb", "--n", "4", "--t-min", "10", "--t-max", "5", "--step", "1",
      "--trials", "2", "--seed", "1"],

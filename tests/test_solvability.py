@@ -13,6 +13,7 @@ from coverpebbling.solvability import (
     FP_SEARCH,
     FP_STACKING,
     FP_TRIVIAL_DEFICIT,
+    _screen,
 )
 from conftest import (
     compositions,
@@ -650,6 +651,34 @@ def test_stacking_tag_at_the_cover_number_boundary(monkeypatch, g, lam):
     for t, tag in ((lam, FP_STACKING), (lam - 1, FP_SEARCH)):
         r = cp.solve(g, cp.Configuration([t] + [0] * (n - 1)), budget=0)
         assert (r.status, r.nodes_expanded, r.fast_path) == (cp.UNDECIDED, 1, tag)
+
+
+def test_screen_tags_stacking_bound_exactly_from_the_cover_number():
+    rng = random.Random(11)
+    graphs = [cp.path_graph(57), cp.path_graph(64), cp.path_graph(130), cp.cycle_graph(9),
+              cp.cube_graph(4), cp.random_tree(70, 3)]
+    graphs += [random_connected_graph(rng, max_vertices=8) for _ in range(60)]
+    tagged = 0
+    for g in graphs:
+        n = g.vertex_count
+        lam = max(cp.stacking_weight(g, v) for v in range(n))
+        for t in (lam - 1, lam, lam + 1, *(rng.randint(n, lam) for _ in range(3))):
+            pebbles = [0] * n
+            for _ in range(3):
+                pebbles[rng.randrange(n)] += t // 3
+            pebbles[rng.randrange(n)] += t - sum(pebbles)
+            outcome = _screen(g, cp.Configuration(pebbles))
+            if isinstance(outcome, tuple):
+                assert outcome[0] == (FP_STACKING if t >= lam else FP_SEARCH), (g, pebbles)
+                tagged += 1
+    assert tagged > 200
+    # lambda(P_64) = 2^64 - 1 is beyond int64
+    p64 = cp.path_graph(64)
+    for t, tag in ((2**64 - 1, FP_STACKING), (2**64 - 2, FP_SEARCH)):
+        for v in (0, 31, 63):
+            pebbles = [0] * 64
+            pebbles[v] = t
+            assert _screen(p64, cp.Configuration(pebbles))[0] == tag
 
 
 def test_solve_leaves_the_recursion_limit_alone(monkeypatch):

@@ -26,12 +26,13 @@ def test_lambda_complete(n):
     assert cp.cover_pebbling_number(cp.complete_graph(n)).cover_number == 2 * n - 1
 
 
-@pytest.mark.parametrize("n", [*range(1, 17), 63, 64, 65, 200])
+@pytest.mark.parametrize("n", [*range(1, 17), 56, 57, 63, 64, 65, 110, 111, 127, 128, 200,
+                               255, 256, 599, 600])
 def test_lambda_path(n):
     assert cp.cover_pebbling_number(cp.path_graph(n)).cover_number == 2**n - 1
 
 
-@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("d", range(11))
 def test_lambda_cube(d):
     assert cp.cover_pebbling_number(cp.cube_graph(d)).cover_number == 3**d
 
@@ -56,6 +57,46 @@ def test_lambda_lower_bound_random():
         assert cp.cover_pebbling_number(g).cover_number >= 2 * n - 1
 
 
+def _kernel_cases():
+    """Graphs on both sides of every branch and run boundary of stacking_weights."""
+    yield cp.complete_graph(1)
+    # one run holds bits = 62 - n.bit_length() distances: 56 for n < 64, so
+    # P_56 (diameter 55) is one run and P_57 is two
+    yield cp.path_graph(56)
+    yield cp.path_graph(57)
+    # paths whose width (diameter + 1) is exactly k runs, or k runs and one
+    for n in range(57, 600):
+        if n % (62 - n.bit_length()) in (0, 1):
+            yield cp.path_graph(n)
+    for n in (63, 64, 127, 128, 255, 256):  # steps of n.bit_length()
+        yield cp.path_graph(n)
+        yield cp.cycle_graph(n)
+        yield cp.random_tree(n, n)
+    for n in (3, 4, 5, 112, 113, 114, 115):
+        yield cp.cycle_graph(n)
+    # brooms: from vertex 0, about half of the 127 vertices sit at one distance,
+    # swept across the top of the first run (bits = 55), the largest sums a
+    # run can hold
+    for d in range(48, 66):
+        yield cp.build_graph(127, [(v, v + 1) for v in range(d)]
+                             + [(d, leaf) for leaf in range(d + 1, 127)])
+    for seed in range(20):
+        yield cp.random_tree(2 + 23 * seed, seed)
+    rng = random.Random(5)
+    for _ in range(40):
+        yield random_connected_graph(rng, max_vertices=90)
+
+
+def test_weights_match_the_per_vertex_sum():
+    checked = 0
+    for g in _kernel_cases():
+        weights = cp.cover_pebbling_number(g).per_vertex_weights
+        assert weights == tuple(cp.stacking_weight(g, v) for v in range(g.vertex_count))
+        assert all(type(w) is int for w in weights)
+        checked += 1
+    assert checked > 100
+
+
 def test_result_consistency_and_tie_break():
     r = cp.cover_pebbling_number(cp.path_graph(4))
     assert r.cover_number == max(r.per_vertex_weights)
@@ -78,9 +119,12 @@ def test_lambda_invariant_under_relabeling():
 
 def test_disconnected_rejected_with_pair():
     g = cp.build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="no path between"):
+    message = "^graph is disconnected: no path between vertices 0 and 2$"
+    with pytest.raises(ValueError, match=message):
         cp.cover_pebbling_number(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
+        cp.stacking_weights(g)
+    with pytest.raises(ValueError, match=message):
         cp.stacking_weight(g, 0)
     with pytest.raises(ValueError):
         cp.cover_pebbling_number(cp.build_graph(0, []))
