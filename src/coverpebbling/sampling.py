@@ -11,14 +11,23 @@ Two probability models on t pebbles over n vertices:
   copy; the draw counts are uniform over compositions.
 
 All randomness flows through SeededStream, a (seed, stream_index) pair
-keyed into a counter-based generator, so every sample is a pure function
-of its stream and distinct stream indices are independent.
+keyed into a Philox counter-based generator, so every sample is a pure
+function of its stream and distinct stream indices are independent.
+
+The single-configuration samplers (`sample_mb`, `sample_be_polya`,
+`coverpebble sample`) make one `rng.integers` call on a generator built for
+their stream and resolve it in Python lists, which is the cheapest route
+for one configuration.
 
 `mb_counts` and `be_counts` draw a block of `rows` trials from one stream,
 as one (rows, t) array of picks; row r is the same draw whatever the number
-of rows after it.  The single-configuration samplers are the one-row case,
-keyed by (seed, index) exactly as before, so `sample_mb`, `sample_be_polya`
-and `coverpebble sample` give the same configurations for the same stream.
+of rows after it, and it is the draw the single-configuration sampler makes
+from the same stream.  The picks come from `_integers`, which returns
+exactly `rng.integers(0, bounds, (rows, t))` but reads Philox's raw 64-bit
+words in one call and applies Lemire's exact 32-bit multiply-and-reject
+method (the one numpy uses) to the whole block at once.  It expects a
+fresh generator, with no half-word buffered, and leaves it spent.  A sweep
+re-keys one generator per block (`rekey`) instead of building a new one.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ import numpy as np
 from .graphs import Configuration
 
 _MASK64 = 2**64 - 1
+# the largest bound `_integers` draws below: numpy's 32-bit Lemire path
+MAX_BOUND = 2**32 - 1
 
 
 class RandomModel(Enum):
@@ -55,6 +66,23 @@ class SeededStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def rekey(rng: np.random.Generator, seed: int, stream_index: int) -> None:
+    """Put rng's Philox into the fresh state of SeededStream(seed, stream_index).
+
+    Counter 0, the key (seed, stream_index) in 64-bit words, nothing
+    buffered: the state `SeededStream(seed, stream_index).generator()`
+    starts in, without building a generator or drawing OS entropy.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, stream_index & _MASK64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _check_n_t(n: int, t: int) -> None:
     if n < 0 or t < 0:
         raise ValueError("vertex and pebble counts must be non-negative")
@@ -62,13 +90,69 @@ def _check_n_t(n: int, t: int) -> None:
         raise ValueError("cannot place pebbles on zero vertices")
 
 
+def _halves(rng: np.random.Generator, words: int) -> np.ndarray:
+    """`words` raw Philox words as uint32 in next_uint32 order: low half, then high."""
+    return rng.bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
+
+
+def _integers(rng: np.random.Generator, bounds, shape: tuple) -> np.ndarray:
+    """Exactly `rng.integers(0, bounds, shape)` for a fresh Philox generator.
+
+    `shape` is (rows, t) and `bounds` is a scalar or a length-t vector, every
+    bound in 1..MAX_BOUND.  numpy draws each value below a bound b >= 2 from
+    one uint32 word w by Lemire's method: m = w * b in 64 bits gives w * b >> 32,
+    unless the low half of m lies below 2^32 mod b; then the word is rejected
+    and the draw takes the next one, shifting every later draw by a word.  A
+    bound of 1 gives 0 and takes no word.  Here the words of the whole block
+    come from one random_raw call, and the rare rejections (about 1 % of
+    19,500-draw blocks at n = 1000) are replayed in flat order.
+
+    rng must be fresh, with no half-word buffered (a new generator or one
+    just re-keyed); it is left spent, its state not the one numpy leaves.
+    """
+    bounds = np.asarray(bounds)
+    size = shape[0] * shape[1]
+    if size and not (bounds.min() >= 1 and bounds.max() <= MAX_BOUND):
+        raise ValueError(f"draw bounds must lie in 1..{MAX_BOUND}")
+    bounds = bounds.astype(np.uint32)
+    live = bounds > 1
+    if not live.all():
+        picks = np.zeros(shape, dtype=np.int64)
+        if bounds.ndim and live.any():
+            picks[:, live] = _integers(rng, bounds[live], (shape[0], int(live.sum())))
+        return picks
+    halves = _halves(rng, -(-size // 2))
+    # widen the words before the multiply: a uint32 product would wrap, and under
+    # numpy 1.22's value-based casting even a uint64 scalar bound keeps it uint32
+    m = halves[:size].astype(np.uint64).reshape(shape)
+    m *= bounds
+    # 2^32 mod b < b, so a block whose low halves all reach their bound has no rejection
+    if (m.astype(np.uint32) < bounds).any():
+        flat = m.reshape(-1)
+        bounds = np.broadcast_to(bounds, shape).ravel().astype(np.uint64)
+        reject_below = 2**32 % bounds
+        start, shift = 0, 0
+        while True:
+            rejected = np.flatnonzero(flat[start:].astype(np.uint32) < reject_below[start:])
+            if not rejected.size:
+                break
+            start += int(rejected[0])
+            shift += 1
+            if halves.size < size + shift:
+                halves = np.concatenate((halves, _halves(rng, 1)))
+            flat[start:] = halves[start + shift:size + shift] * bounds[start:]
+    m >>= np.uint64(32)
+    return m.view(np.int64)
+
+
 def mb_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
     """Maxwell-Boltzmann counts of `rows` trials, shape (rows, n).
 
     Each row places t pebbles on independent uniform vertices; one bincount
-    over the keys row * n + vertex counts the whole block.
+    over the keys row * n + vertex counts the whole block.  rng must be fresh
+    and is left spent (see `_integers`).
     """
-    picks = rng.integers(0, n, size=(rows, t))
+    picks = _integers(rng, n, (rows, t))
     picks += np.arange(rows)[:, None] * n
     return np.bincount(picks.ravel(), minlength=rows * n).reshape(rows, n)
 
@@ -81,12 +165,15 @@ def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.nda
     uniform pick among the balls before it: an index below n is an original
     ball, any other is a copy of the ball drawn at that earlier step.
     Pointer jumping (ref = ref[ref] until it stops changing) takes every
-    ball to its original ball in O(log depth) array passes.
+    ball to its original ball in O(log depth) array passes.  rng must be
+    fresh and is left spent (see `_integers`).
     """
     width = n + t
     ref = np.arange(rows * width)  # ball j of row r sits at r * width + j
     ball = np.arange(n, width)
-    ref.reshape(rows, width)[:, n:] += rng.integers(0, ball, size=(rows, t)) - ball
+    picks = _integers(rng, ball, (rows, t))
+    picks -= ball
+    ref.reshape(rows, width)[:, n:] += picks
     while True:
         jumped = ref[ref]
         if (jumped == ref).all():
@@ -100,13 +187,23 @@ def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.nda
 def sample_mb(n: int, t: int, s: SeededStream) -> Configuration:
     """One Maxwell-Boltzmann configuration of t pebbles on n vertices."""
     _check_n_t(n, t)
-    return Configuration(mb_counts(n, t, s.generator())[0])
+    return Configuration(np.bincount(s.generator().integers(0, n, t), minlength=n).tolist())
 
 
 def sample_be_polya(n: int, t: int, s: SeededStream) -> Configuration:
-    """One Bose-Einstein configuration, uniform over all C(n+t-1, t) compositions."""
+    """One Bose-Einstein configuration, uniform over all C(n+t-1, t) compositions.
+
+    Draw k copies ball picks[k] of the n + k balls before it; a ball below n
+    is an original, so `vertex` maps every ball to the vertex it copies.
+    """
     _check_n_t(n, t)
-    return Configuration(be_counts(n, t, s.generator())[0])
+    vertex = list(range(n))
+    for pick in s.generator().integers(0, n + np.arange(t)).tolist():
+        vertex.append(vertex[pick])
+    counts = [0] * n
+    for v in vertex[n:]:
+        counts[v] += 1
+    return Configuration(counts)
 
 
 def sample_be_stars_and_bars(n: int, t: int, s: SeededStream) -> Configuration:

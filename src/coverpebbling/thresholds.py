@@ -11,6 +11,12 @@ rows = max(1, min(64, 2^15 // (n + t))) consecutive trials, a function of
 not depend on the rows after it, so each trial's outcome is a pure
 function of (n, seed, t, trial index).  A worker always takes whole
 blocks, so sweeps are bit-reproducible for any worker count.
+
+A task keeps one Philox generator and re-keys it to each block's stream
+(`sampling.rekey`), which is the state a new generator for that stream
+starts in, so one block costs one state reset instead of a new generator.
+Every draw bound, up to n + t - 1, must stay within the sampler's exact
+32-bit path (`sampling.MAX_BOUND`); `sweep` checks this up front.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .sampling import RandomModel, SeededStream, be_counts, mb_counts
+from .sampling import MAX_BOUND, RandomModel, SeededStream, be_counts, mb_counts, rekey
 
 _T_STRIDE = 2**32  # stream index packs (t, block) as t * 2^32 + block
 # A block holds at most this many counts cells, rows * (n + t), and at most
@@ -76,11 +82,12 @@ def _count_solvable(args) -> int:
     model_value, n, t, lo, hi, trials, seed = args
     draw = mb_counts if RandomModel(model_value) is RandomModel.MAXWELL_BOLTZMANN else be_counts
     rows = _block_rows(n, t)
+    rng = SeededStream(seed).generator()
     count = 0
     for block in range(lo, hi):
-        rng = SeededStream(seed, t * _T_STRIDE + block).generator()
+        rekey(rng, seed, t * _T_STRIDE + block)
         counts = draw(n, t, rng, min(rows, trials - block * rows))
-        odd = np.count_nonzero(counts & 1, axis=1)
+        odd = (counts & 1).sum(axis=1)
         count += int(np.count_nonzero(odd + t >= 2 * n))
     return count
 
@@ -119,9 +126,11 @@ def sweep(
         raise ValueError("need n >= 1")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    if t_min < 0 or t_max >= _T_STRIDE:
-        raise ValueError(f"pebble counts must lie in 0..{_T_STRIDE - 1} for stream "
-                         f"indexing, got {t_min}..{t_max}")
+    # every draw bound, up to n + t_max - 1, stays below MAX_BOUND (and so t_max
+    # below _T_STRIDE); checked before anything is allocated
+    if t_min < 0 or n + t_max > MAX_BOUND:
+        raise ValueError(f"pebble counts must lie in 0..{MAX_BOUND - n} (n + t at most "
+                         f"2^32 - 1, the sampler's 32-bit draw limit), got {t_min}..{t_max}")
     ts = list(range(t_min, t_max + 1, step))
     tasks = []
     for t in ts:

@@ -318,7 +318,10 @@ def test_json_booleans_are_rejected(tmp_path, capsys, command, files):
     ["gen", "--family", "kmulti", "--parts", "1,2"],
     ["gen", "--family", "gnp", "--n", "4", "--p", "1.5", "--seed", "1"],
     ["sample", "--model", "mb", "--n", "0", "--t", "3", "--seed", "1"],
-], ids=["threshold-t-range", "gen-cn", "gen-kmulti", "gen-gnp", "sample-n"])
+    ["threshold", "--model", "be", "--n", "1000", "--t-min", "0", "--t-max", "4294966296",
+     "--step", "4294966296", "--trials", "2", "--seed", "1"],
+], ids=["threshold-t-range", "gen-cn", "gen-kmulti", "gen-gnp", "sample-n",
+        "threshold-32-bit-draws"])
 def test_option_values_the_library_rejects_are_usage_errors(tmp_path, capsys, argv):
     if argv[0] == "gen":
         argv = argv + ["--out", str(tmp_path / "g.json")]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import coverpebbling as cp
-from coverpebbling.sampling import SeededStream, be_counts, mb_counts
+from coverpebbling.sampling import (MAX_BOUND, SeededStream, _integers, be_counts, mb_counts,
+                                   rekey)
 from conftest import compositions
 
 
@@ -29,13 +30,115 @@ def test_key_words_at_and_above_2_to_63_stay_distinct(a, b):
     assert a.generator().integers(0, 2**62, 4).tolist() != b.generator().integers(0, 2**62, 4).tolist()
 
 
-def _polya_reference(n, t, rng):
+@pytest.mark.parametrize("seed, index", [(0, 0), (5, 7), (-1, 3), (2**63, 2**64 - 1),
+                                         (123, 1625 * 2**32 + 9)])
+def test_rekey_gives_the_fresh_state_of_the_stream(seed, index):
+    rng = SeededStream(1, 2).generator()
+    rng.integers(0, 10, 3)  # a used generator, with a half-word buffered
+    rekey(rng, seed, index)
+    fresh = SeededStream(seed, index).generator()
+    assert str(rng.bit_generator.state) == str(fresh.bit_generator.state)
+    assert rng.integers(0, 1000, 9).tolist() == fresh.integers(0, 1000, 9).tolist()
+
+
+def _urn(n, picks):
     """The urn ball by ball: draw k copies ball picks[k], an original below n."""
-    picks = rng.integers(0, n + np.arange(t)).tolist()
     balls = []
     for idx in picks:
         balls.append(idx if idx < n else balls[idx - n])
     return np.bincount(np.asarray(balls, dtype=np.int64), minlength=n)
+
+
+def _polya_reference(n, t, rng):
+    return _urn(n, rng.integers(0, n + np.arange(t)).tolist())
+
+
+def _lemire_reference(rng, bounds, shape):
+    """numpy's 32-bit bounded draw one value at a time, and the words it rejects."""
+    def halves():
+        while True:
+            word = int(rng.bit_generator.random_raw())
+            yield word & 0xFFFFFFFF  # next_uint32 hands out the low half first
+            yield word >> 32
+
+    words = halves()
+    bounds = np.broadcast_to(bounds, shape).tolist()
+    rejected = 0
+    out = []
+    for row in bounds:
+        out.append([])
+        for b in row:
+            m = 0
+            if b > 1:  # a bound of 1 takes no word
+                m = next(words) * b
+                while m & 0xFFFFFFFF < 2**32 % b:
+                    rejected += 1
+                    m = next(words) * b
+            out[-1].append(m >> 32)
+    return out, rejected
+
+
+def _assert_integers_match_numpy(bounds, shape, seed):
+    stream = SeededStream(seed, 17)
+    expected = stream.generator().integers(0, bounds, shape)
+    got = _integers(stream.generator(), bounds, shape)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert (got == expected).all()
+    reference, rejected = _lemire_reference(stream.generator(), bounds, shape)
+    assert got.tolist() == reference
+    return rejected
+
+
+def test_integers_matches_numpy_on_random_bounds():
+    rng = np.random.default_rng(3)
+    for seed in range(40):
+        rows, t = int(rng.integers(1, 14)), int(rng.integers(0, 40))
+        scalar = int(rng.integers(1, 10**6))
+        _assert_integers_match_numpy(scalar, (rows, t), seed)
+        _assert_integers_match_numpy(scalar + np.arange(t), (rows, t), seed)
+        _assert_integers_match_numpy(rng.integers(1, 2**32, t), (rows, t), seed)
+
+
+def test_integers_replays_rejections_at_large_bounds():
+    # above 2^31 a word is rejected with probability up to one half, so the
+    # flat-order replay runs many times per block
+    rng = np.random.default_rng(4)
+    rejected = 0
+    for seed in range(20):
+        rows, t = int(rng.integers(1, 14)), int(rng.integers(1, 40))
+        rejected += _assert_integers_match_numpy(
+            rng.integers(2**31, 2**32 - 1, t), (rows, t), seed)
+        rejected += _assert_integers_match_numpy(
+            int(rng.integers(2**31, 2**32 - 1)), (rows, t), seed)
+    assert rejected > 0
+    _assert_integers_match_numpy(MAX_BOUND, (3, 5), 1)
+
+
+@pytest.mark.parametrize("rows", range(1, 14))
+def test_integers_edge_shapes(rows):
+    for t in (0, 1, 2, 9):
+        assert _assert_integers_match_numpy(1, (rows, t), rows) == 0  # takes no word
+        _assert_integers_match_numpy(1 + np.arange(t), (rows, t), rows)  # a bound-1 column
+        _assert_integers_match_numpy(1000 + np.arange(t), (rows, t), rows)
+
+
+@pytest.mark.parametrize("bounds", [0, MAX_BOUND + 1, np.array([5, 0, 7]),
+                                    np.array([5, MAX_BOUND + 1, 7])])
+def test_integers_rejects_bounds_outside_its_domain(bounds):
+    with pytest.raises(ValueError, match="bounds"):
+        _integers(SeededStream(1).generator(), bounds, (2, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+def test_block_counts_match_the_per_row_reference(n):
+    for t, rows in ((0, 3), (1, 1), (7, 13), (1600, 5)):
+        stream = SeededStream(n, t)
+        picks = stream.generator().integers(0, n, (rows, t))
+        assert mb_counts(n, t, stream.generator(), rows).tolist() == [
+            np.bincount(row, minlength=n).tolist() for row in picks]
+        picks = stream.generator().integers(0, n + np.arange(t), (rows, t))
+        assert be_counts(n, t, stream.generator(), rows).tolist() == [
+            _urn(n, row).tolist() for row in picks.tolist()]
 
 
 @pytest.mark.parametrize("t", [0, 1, 5, 1600, 2500])

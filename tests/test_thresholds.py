@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 import coverpebbling as cp
 from coverpebbling import thresholds
-from coverpebbling.sampling import RandomModel
+from coverpebbling.sampling import MAX_BOUND, RandomModel
 from coverpebbling.thresholds import CSV_HEADER, SweepRecord, ThresholdCurve, _block_rows
 
 # two-sided probability that a normal deviate lies beyond 4 sigma
@@ -183,6 +184,39 @@ def test_sweep_validation():
         for workers in (0, -3):
             with pytest.raises(ValueError, match="worker"):
                 cp.sweep(model, 5, 5, 5, 1, 3, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("model, t_min, t_max, digest", [
+    (RandomModel.MAXWELL_BOLTZMANN, 1400, 1650,
+     "c636a8377c40d687810acfe0585f2486dfe5fac1cdb70ffd4716e3f021d32253"),
+    (RandomModel.BOSE_EINSTEIN, 1500, 1750,
+     "a8c95ea69c0a6a126ad8a850e4abfb94375e15f9d53267a52170d957aa16f9af"),
+], ids=["mb", "be"])
+def test_sweep_csvs_are_pinned(model, t_min, t_max, digest):
+    # the sweep's stream contract: these digests hold for every change that
+    # keeps it, whatever the sampler does inside
+    curve = cp.sweep(model, 1000, t_min, t_max, 50, 300, seed=17)
+    csv = cp.curve_to_csv(curve, include_crossing=True)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_sweep_rejects_draw_bounds_beyond_32_bits_before_drawing(monkeypatch):
+    # n + t at most 2^32 - 1; the largest pebble counts are refused before
+    # any block is drawn, and the boundary itself is accepted
+    def no_work(task):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(thresholds, "_count_solvable", no_work)
+    for model in RandomModel:
+        for n, t_max in ((5, MAX_BOUND - 4), (1000, MAX_BOUND - 999), (1, 2**32 - 1)):
+            with pytest.raises(ValueError, match=r"2\^32 - 1"):
+                cp.sweep(model, n, t_max, t_max, 1, 1, seed=1)
+            with pytest.raises(ValueError, match=r"2\^32 - 1"):
+                cp.sweep(model, n, 0, t_max, t_max, 1, seed=1)
+    monkeypatch.setattr(thresholds, "_count_solvable", lambda task: 0)
+    for model in RandomModel:
+        assert cp.sweep(model, 5, 0, MAX_BOUND - 5, MAX_BOUND - 5, 1, seed=1).records[-1].t \
+            == MAX_BOUND - 5
 
 
 def test_crossing_point_interpolation():
