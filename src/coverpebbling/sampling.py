@@ -23,15 +23,16 @@ for one configuration.
 as one (rows, t) array of picks; row r is the same draw whatever the number
 of rows after it, and it is the draw the single-configuration sampler makes
 from the same stream.  The picks come from `_integers`, which returns
-exactly `rng.integers(0, bounds, (rows, t))` but reads Philox's raw 64-bit
-words in one call and applies Lemire's exact 32-bit multiply-and-reject
-method (the one numpy uses) to the whole block at once.  It expects a
-fresh generator, with no half-word buffered, and leaves it spent.  A sweep
-re-keys one generator per block (`rekey`) instead of building a new one.
+exactly `rng.integers(0, bounds, (rows, t))`.  When Lemire's 32-bit
+multiply-and-reject method (the one numpy uses) rejects no word of the
+block, it computes the picks from one call's worth of raw Philox words at
+once; otherwise it lets numpy draw them.  A sweep re-keys one generator
+per block (`rekey`) instead of building a new one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -60,10 +61,16 @@ class SeededStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        # a uint64 array: numpy passes a Python list through float64, which
-        # merges neighbouring words at and above 2^63
-        key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(_seed_sequence()))
+        rekey(rng, self.seed, self.stream_index)
+        return rng
+
+
+@functools.cache
+def _seed_sequence() -> np.random.SeedSequence:
+    # seeds every new Philox without OS entropy (`rekey` replaces the state it
+    # gives); built on first use, so importing the package loads no numpy.random
+    return np.random.SeedSequence(0)
 
 
 def rekey(rng: np.random.Generator, seed: int, stream_index: int) -> None:
@@ -71,7 +78,7 @@ def rekey(rng: np.random.Generator, seed: int, stream_index: int) -> None:
 
     Counter 0, the key (seed, stream_index) in 64-bit words, nothing
     buffered: the state `SeededStream(seed, stream_index).generator()`
-    starts in, without building a generator or drawing OS entropy.
+    starts in, without building a generator.
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -90,67 +97,49 @@ def _check_n_t(n: int, t: int) -> None:
         raise ValueError("cannot place pebbles on zero vertices")
 
 
-def _halves(rng: np.random.Generator, words: int) -> np.ndarray:
-    """`words` raw Philox words as uint32 in next_uint32 order: low half, then high."""
-    return rng.bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
-
-
 def _integers(rng: np.random.Generator, bounds, shape: tuple) -> np.ndarray:
     """Exactly `rng.integers(0, bounds, shape)` for a fresh Philox generator.
 
     `shape` is (rows, t) and `bounds` is a scalar or a length-t vector, every
     bound in 1..MAX_BOUND.  numpy draws each value below a bound b >= 2 from
-    one uint32 word w by Lemire's method: m = w * b in 64 bits gives w * b >> 32,
+    one uint32 word w by Lemire's method: m = w * b in 64 bits gives m >> 32,
     unless the low half of m lies below 2^32 mod b; then the word is rejected
-    and the draw takes the next one, shifting every later draw by a word.  A
-    bound of 1 gives 0 and takes no word.  Here the words of the whole block
-    come from one random_raw call, and the rare rejections (about 1 % of
-    19,500-draw blocks at n = 1000) are replayed in flat order.
+    and the draw takes the next one.  A bound of 1 gives 0 and takes no word.
+    Here one random_raw call supplies a word per draw, and the block is
+    computed from them when every bound is at least 2 and no low half lies
+    below its bound (2^32 mod b < b, so no word was rejected).  Any other
+    block (about 1 % of them at n = 1000) re-keys rng and lets numpy draw it.
 
-    rng must be fresh, with no half-word buffered (a new generator or one
-    just re-keyed); it is left spent, its state not the one numpy leaves.
+    rng must be fresh: at counter 0 of its key with no half-word buffered, as
+    a new generator or one just re-keyed is.  It is left spent.
     """
     bounds = np.asarray(bounds)
     size = shape[0] * shape[1]
-    if size and not (bounds.min() >= 1 and bounds.max() <= MAX_BOUND):
+    if not size:
+        return np.zeros(shape, dtype=np.int64)
+    low = bounds.min()
+    if not (low >= 1 and bounds.max() <= MAX_BOUND):
         raise ValueError(f"draw bounds must lie in 1..{MAX_BOUND}")
     bounds = bounds.astype(np.uint32)
-    live = bounds > 1
-    if not live.all():
-        picks = np.zeros(shape, dtype=np.int64)
-        if bounds.ndim and live.any():
-            picks[:, live] = _integers(rng, bounds[live], (shape[0], int(live.sum())))
-        return picks
-    halves = _halves(rng, -(-size // 2))
-    # widen the words before the multiply: a uint32 product would wrap, and under
-    # numpy 1.22's value-based casting even a uint64 scalar bound keeps it uint32
-    m = halves[:size].astype(np.uint64).reshape(shape)
+    # uint32 halves in next_uint32 order (low, then high), widened before the
+    # multiply: a uint32 product would wrap, and under numpy 1.22's value-based
+    # casting even a uint64 scalar bound keeps it uint32
+    words = rng.bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False)
+    m = words.view("<u4")[:size].astype(np.uint64).reshape(shape)
     m *= bounds
-    # 2^32 mod b < b, so a block whose low halves all reach their bound has no rejection
-    if (m.astype(np.uint32) < bounds).any():
-        flat = m.reshape(-1)
-        bounds = np.broadcast_to(bounds, shape).ravel().astype(np.uint64)
-        reject_below = 2**32 % bounds
-        start, shift = 0, 0
-        while True:
-            rejected = np.flatnonzero(flat[start:].astype(np.uint32) < reject_below[start:])
-            if not rejected.size:
-                break
-            start += int(rejected[0])
-            shift += 1
-            if halves.size < size + shift:
-                halves = np.concatenate((halves, _halves(rng, 1)))
-            flat[start:] = halves[start + shift:size + shift] * bounds[start:]
-    m >>= np.uint64(32)
-    return m.view(np.int64)
+    if low > 1 and not (m.astype(np.uint32) < bounds).any():
+        m >>= np.uint64(32)
+        return m.view(np.int64)
+    rekey(rng, *rng.bit_generator.state["state"]["key"].tolist())
+    return rng.integers(0, bounds, shape)
 
 
 def mb_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
     """Maxwell-Boltzmann counts of `rows` trials, shape (rows, n).
 
     Each row places t pebbles on independent uniform vertices; one bincount
-    over the keys row * n + vertex counts the whole block.  rng must be fresh
-    and is left spent (see `_integers`).
+    over the keys row * n + vertex counts the whole block.  The picks come
+    from `_integers`, whose precondition on rng applies.
     """
     picks = _integers(rng, n, (rows, t))
     picks += np.arange(rows)[:, None] * n
@@ -165,8 +154,8 @@ def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.nda
     uniform pick among the balls before it: an index below n is an original
     ball, any other is a copy of the ball drawn at that earlier step.
     Pointer jumping (ref = ref[ref] until it stops changing) takes every
-    ball to its original ball in O(log depth) array passes.  rng must be
-    fresh and is left spent (see `_integers`).
+    ball to its original ball in O(log depth) array passes.  The picks come
+    from `_integers`, whose precondition on rng applies.
     """
     width = n + t
     ref = np.arange(rows * width)  # ball j of row r sits at r * width + j

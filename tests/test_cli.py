@@ -1,9 +1,13 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coverpebbling
 from coverpebbling import solvability, thresholds
 from coverpebbling.cli import run_cli
 
@@ -27,6 +31,21 @@ def p3(tmp_path):
 def test_lambda_k5(k5, capsys):
     assert run_cli(["lambda", "--graph", k5]) == 0
     assert json.loads(capsys.readouterr().out) == {"lambda": "9", "argmax": 0}
+
+
+def test_module_entry_point_runs_main(p3, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(coverpebbling.__file__).resolve().parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "coverpebbling.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli("lambda", "--graph", p3)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"lambda": "7", "argmax": 0}
+    missing = cli("lambda", "--graph", str(tmp_path / "missing.json"))
+    assert missing.returncode == 65
+    assert missing.stderr.startswith("error:")
 
 
 def test_lambda_disconnected_is_input_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coverpebbling as cp
+from coverpebbling import thresholds
 from coverpebbling.sampling import (MAX_BOUND, SeededStream, _integers, be_counts, mb_counts,
                                    rekey)
 from conftest import compositions
@@ -100,8 +101,8 @@ def test_integers_matches_numpy_on_random_bounds():
 
 
 def test_integers_replays_rejections_at_large_bounds():
-    # above 2^31 a word is rejected with probability up to one half, so the
-    # flat-order replay runs many times per block
+    # above 2^31 a word is rejected with probability up to one half, so
+    # nearly every block here is one that numpy draws after a re-key
     rng = np.random.default_rng(4)
     rejected = 0
     for seed in range(20):
@@ -127,6 +128,28 @@ def test_integers_edge_shapes(rows):
 def test_integers_rejects_bounds_outside_its_domain(bounds):
     with pytest.raises(ValueError, match="bounds"):
         _integers(SeededStream(1).generator(), bounds, (2, 3))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its `integers` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("draw, t", [(mb_counts, 1525), (be_counts, 1625)])
+def test_sweep_blocks_mostly_take_the_raw_word_path(draw, t):
+    # a block that takes numpy's path gives the same counts, so only the
+    # calls show which path ran; about 1 % of blocks at n = 1000 reject a word
+    n, rows, blocks = 1000, thresholds._block_rows(1000, t), 200
+    rng = _CountingGenerator(SeededStream(1).generator().bit_generator)
+    for block in range(blocks):
+        rekey(rng, 1, t * 2**32 + block)
+        draw(n, t, rng, rows)
+    assert rng.calls <= 0.05 * blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
@@ -164,6 +187,7 @@ def test_a_row_does_not_depend_on_the_rows_after_it(draw):
 def test_sampler_degenerate_cases(sampler):
     assert sampler(1, 9, SeededStream(1)).pebbles == (9,)
     assert sampler(4, 0, SeededStream(1)).pebbles == (0, 0, 0, 0)
+    assert sampler(0, 0, SeededStream(1)).pebbles == ()  # no pebbles on no vertices
     assert sampler(3, 7, SeededStream(5)).total == 7
     with pytest.raises(ValueError):
         sampler(0, 3, SeededStream(1))
