@@ -73,6 +73,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} nests its JSON too deeply to read") from exc
     pending = [document]
     while pending:
         item = pending.pop()

@@ -9,8 +9,9 @@ between u and v, or UNREACHABLE (-1) when no path joins them.
 
 Two kernels give the same matrix: a bit-parallel BFS over all sources at
 once for graphs of at least 32 vertices and short eccentricities, and one
-list BFS per source otherwise (see `_bfs_all_pairs`).  Connectivity is
-read off the matrix once, at construction.
+list BFS per source otherwise (see `_bfs_all_pairs`).  The components, and
+with them connectivity and the kernel choice, come from one BFS per
+component at construction (see `_components`), not from the matrix.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        self.distances = _bfs_all_pairs(vertex_count, self.adjacency)
+        self._components, depth = _components(vertex_count, self.adjacency)
+        self.distances = _bfs_all_pairs(vertex_count, self.adjacency, depth)
         self.distances.flags.writeable = False
-        self._connected = vertex_count <= 1 or UNREACHABLE not in self.distances[0].tolist()
 
     @property
     def edge_count(self) -> int:
@@ -73,22 +74,11 @@ class Graph:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        return self._connected
+        return len(self._components) <= 1
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member.
-
-        Each component is read off the distance row of its smallest vertex.
-        """
-        seen = set()
-        comps = []
-        for s in range(self.vertex_count):
-            if s not in seen:
-                row = self.distances[s].tolist()
-                comp = [v for v, d in enumerate(row) if d != UNREACHABLE]
-                seen.update(comp)
-                comps.append(comp)
-        return comps
+        """Connected components as sorted vertex lists, ordered by smallest member."""
+        return [list(comp) for comp in self._components]
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -103,7 +93,7 @@ BITSET_MAX_ECCENTRICITY = 256
 _GATHER_WORDS = 1 << 21
 
 
-def _bfs_all_pairs(n: int, adjacency) -> np.ndarray:
+def _bfs_all_pairs(n: int, adjacency, depth: int) -> np.ndarray:
     """(n, n) int64 hop distances, UNREACHABLE (-1) across components.
 
     Two kernels give the same matrix at different costs.  `_list_bfs` runs
@@ -111,26 +101,29 @@ def _bfs_all_pairs(n: int, adjacency) -> np.ndarray:
     one BFS level for every source at once, O(diam (n + m) n / 64) word
     operations plus a fixed cost of a few numpy calls per level, so it loses
     on small graphs and on long diameters.  It runs only when n is at least
-    BITSET_MIN_VERTICES and a probe BFS from the smallest vertex of each
-    component ends within BITSET_MAX_ECCENTRICITY levels, which bounds the
-    diameter by twice that.  Below 32 vertices the list BFS is faster on
-    paths, cycles and trees; on paths the kernel stays faster up to a
-    diameter of about 800.
+    BITSET_MIN_VERTICES and `depth`, the largest eccentricity of a
+    component's smallest vertex (from `_components`), is at most
+    BITSET_MAX_ECCENTRICITY, which bounds the diameter by twice that.  Below
+    32 vertices the list BFS is faster on paths, cycles and trees; on paths
+    the kernel stays faster up to a diameter of about 800.
     """
-    if n >= BITSET_MIN_VERTICES and _eccentricities_within(n, adjacency, BITSET_MAX_ECCENTRICITY):
+    if n >= BITSET_MIN_VERTICES and depth <= BITSET_MAX_ECCENTRICITY:
         return _bitset_bfs(n, adjacency)
     return _list_bfs(n, adjacency)
 
 
-def _eccentricities_within(n: int, adjacency, bound: int) -> bool:
-    """Whether a BFS from the smallest vertex of each component ends within `bound` levels."""
+def _components(n: int, adjacency) -> tuple[list[tuple[int, ...]], int]:
+    """Components as sorted tuples ordered by smallest member, and the largest depth
+    that a BFS from the smallest vertex of each component reaches."""
     seen = [False] * n
+    comps = []
+    depth = 0
     for s in range(n):
         if seen[s]:
             continue
         seen[s] = True
-        frontier = [s]
-        for _ in range(bound + 1):
+        comp, frontier, level = [s], [s], 0
+        while True:
             reached = []
             for u in frontier:
                 for w in adjacency[u]:
@@ -139,10 +132,12 @@ def _eccentricities_within(n: int, adjacency, bound: int) -> bool:
                         reached.append(w)
             if not reached:
                 break
+            level += 1
+            comp += reached
             frontier = reached
-        else:
-            return False
-    return True
+        depth = max(depth, level)
+        comps.append(tuple(sorted(comp)))
+    return comps, depth
 
 
 def _bitset_bfs(n: int, adjacency) -> np.ndarray:
@@ -343,8 +338,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("random_tree requires n >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     from .sampling import SeededStream  # here, because sampling imports graphs
     rng = SeededStream(seed, 0).generator()
     prufer = rng.integers(0, n, size=n - 2).tolist()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class StackingResult:
 
 def _require_connected(g: Graph) -> None:
     if not g.is_connected():
-        u = g.distances[0].tolist().index(UNREACHABLE)
+        u = g.components()[1][0]
         raise ValueError(f"graph is disconnected: no path between vertices 0 and {u}")
 
 

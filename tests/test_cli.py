@@ -264,6 +264,9 @@ def test_input_errors_exit_65(tmp_path, capsys):
     assert run_cli(["lambda", "--graph", str(bad)]) == 65
     malformed = _write(tmp_path / "m.json", {"n": 2, "edges": [[0, 5]]})
     assert run_cli(["lambda", "--graph", malformed]) == 65
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 5000 + "]" * 5000)
+    assert run_cli(["lambda", "--graph", str(nested)]) == 65
     capsys.readouterr()
 
 

@@ -106,7 +106,7 @@ def _assert_bfs_distances(g):
 
 
 def _relabelled(n, edges, first):
-    """The graph with vertex `first` renamed 0, so that the probe BFS starts there."""
+    """The graph with vertex `first` renamed 0, so that the component BFS starts there."""
     perm = list(range(n))
     perm[0], perm[first] = first, 0
     return cp.build_graph(n, [(perm[u], perm[v]) for u, v in edges])
@@ -150,7 +150,8 @@ def _kernel_used(monkeypatch, g):
             used.append(name)
             return fn(n, adjacency)
         monkeypatch.setattr(graphs, name, spy)
-    result = graphs._bfs_all_pairs(g.vertex_count, g.adjacency)
+    depth = graphs._components(g.vertex_count, g.adjacency)[1]
+    result = graphs._bfs_all_pairs(g.vertex_count, g.adjacency, depth)
     monkeypatch.undo()
     assert (result == g.distances).all()
     return used
@@ -165,7 +166,7 @@ def test_kernel_choice_at_both_rule_boundaries(monkeypatch):
         (cp.complete_graph(floor), "_bitset_bfs"),
         (cp.path_graph(ecc + 1), "_bitset_bfs"),  # eccentricity of vertex 0 is ecc
         (cp.path_graph(ecc + 2), "_list_bfs"),
-        # probed from the middle: distances up to 2 * ecc, so every plane is used
+        # its component BFS starts in the middle: distances up to 2 * ecc, so every plane is used
         (_relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc), "_bitset_bfs"),
         (_relabelled(2 * ecc + 2, path(2 * ecc + 2), ecc), "_list_bfs"),
         (cp.build_graph(301, [(u + 1, v + 1) for u, v in path(300)]), "_list_bfs"),
@@ -195,6 +196,11 @@ def test_disconnected_distances():
     assert lone_and_path.distances[1, 300] == 299 > ecc
     assert len(cubes.components()) == 3
     assert (cubes.distances[:64, 64:] == UNREACHABLE).all()
+    returned = cubes.components()
+    returned[0].append(64)
+    returned.pop()
+    assert cubes.components() == [list(range(64 * k, 64 * k + 64)) for k in range(3)]
+    assert not cubes.is_connected()
 
 
 def test_both_kernels_agree_on_random_graphs():
@@ -207,6 +213,14 @@ def test_both_kernels_agree_on_random_graphs():
         bitset = graphs._bitset_bfs(n, g.adjacency)
         assert (bitset == graphs._list_bfs(n, g.adjacency)).all()
         assert (bitset == g.distances).all()
+        # each component read off the distance row of its smallest vertex
+        from_rows, seen = [], set()
+        for s in range(n):
+            if s not in seen:
+                from_rows.append([v for v in range(n) if bitset[s, v] != UNREACHABLE])
+                seen.update(from_rows[-1])
+        assert g.components() == from_rows
+        assert g.is_connected() == (len(from_rows) == 1)
 
 
 @pytest.mark.parametrize("cap", [1, 5, 64])
