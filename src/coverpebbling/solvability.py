@@ -261,7 +261,8 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     per node.  The search has one cut, the exact surplus test: no cover
     lies below a node where sum over unfired or active v of
     (C(v) - 1) 2^-d(v, e) is negative at some vertex e, because no move
-    raises that sum.  Disconnected
+    raises that sum.  A root that fails it is refuted in closed form, with
+    the node count the search would reach.  Disconnected
     graphs are decided per component (solvable iff every component is).
     Every component is screened by the cheap tests before any component is
     searched; the first refuted component decides the answer, and no
@@ -269,10 +270,18 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     A search that tests more than `budget` distinct states (moves), cut
     ones included, reports UNDECIDED rather than guessing; each state costs
     one pass over the vertices and edges, so the budget bounds the work.
+    `budget` must be a non-negative integer; budget 0 stops at the root,
+    after 1 node.
     """
     check_pairing(g, c)
     if g.vertex_count < 1:
         raise ValueError("solve needs a graph with at least one vertex")
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise ValueError(f"budget must be an integer, not {type(budget).__name__}") from None
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     components = g.components()
     parts = []
     for comp in components:
@@ -295,8 +304,8 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
         if isinstance(outcome, SolveResult):
             tag, moves = outcome.fast_path, outcome.certificate.moves
         else:
-            tag, pot = outcome
-            status, moves, used = _search(sub, sub_conf, budget - nodes, pot)
+            tag, pot, surplus = outcome
+            status, moves, used = _search(sub, sub_conf, budget - nodes, pot, surplus)
             nodes += used
             if tag == FP_STACKING and status == UNSOLVABLE:
                 raise AssertionError("search contradicted the stacking-number guarantee")
@@ -310,8 +319,12 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
 def _screen(g: Graph, c: Configuration):
     """The cheap tests on one connected component.
 
-    Returns the SolveResult when they decide it, else the fast-path tag and
-    the potentials _search starts from.
+    Returns the SolveResult when they decide it, else the fast-path tag,
+    the potentials pot[u][v] = 2^(diam - d(u, v)) and the root surplus
+    S(e) = sum_v (C(v) - 1) pot[v][e] that _search starts from.  The reach
+    test and S read one weighted-mass vector mass[e] = sum_v C(v) pot[v][e]:
+    an empty e is out of reach when mass[e] < 2^diam, and
+    S(e) = mass[e] - sum_v pot[v][e].
     """
     n = g.vertex_count
     t = c.total
@@ -328,11 +341,15 @@ def _screen(g: Graph, c: Configuration):
     dist = g.distances.tolist()
     diam = max(map(max, dist))
     pot = [[1 << (diam - d) for d in row] for row in dist]
-    if any(sum(map(operator.mul, c.pebbles, pot[e])) < 1 << diam  # pot is symmetric
-           for e, x in enumerate(c.pebbles) if x == 0):
+    mass = [0] * n  # summed over the non-empty v only
+    for p, row in zip(c.pebbles, pot):
+        if p:
+            mass = [m + p * x for m, x in zip(mass, row)]
+    if any(m < 1 << diam for m, x in zip(mass, c.pebbles) if x == 0):
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
     lam = max(stacking_weights(g))  # the cover pebbling number
-    return FP_STACKING if t >= lam else FP_SEARCH, pot
+    surplus = list(map(operator.sub, mass, map(sum, pot)))  # pot is symmetric
+    return FP_STACKING if t >= lam else FP_SEARCH, pot, surplus
 
 
 def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
@@ -345,7 +362,7 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     return MoveCertificate(Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p))
 
 
-def _search(g: Graph, c: Configuration, budget: int, pot):
+def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
@@ -379,13 +396,30 @@ def _search(g: Graph, c: Configuration, budget: int, pot):
     node count; on a solvable one it decides how soon a cover is found (the
     figure gadget takes 21 nodes this way and 80,680 in generation order).
 
-    `pot` (2^(diam - dist), Python ints) comes from _screen.  A node's
-    surplus list holds S(e) at every vertex e, exact ints as well.  The
-    depth-first search runs as a loop over an explicit stack holding one
-    child generator per node on the current path, so it needs no recursion.
+    When the root has some S(e) < 0, every root child is cut and none is a
+    cover, so after the root's own budget check the search returns at once:
+    the root's children are the distinct moves out of vertices holding at
+    least three pebbles (none when t = n), which makes 1 + the sum of those
+    vertices' degrees nodes, or UNDECIDED at budget + 1 if that is more
+    than the budget.
+
+    `pot` (2^(diam - dist), Python ints) and the root's surplus list come
+    from _screen.  A node's surplus list holds S(e) at every vertex e,
+    exact ints as well.  The depth-first search runs as a loop over an
+    explicit stack holding one child generator per node on the current
+    path, so it needs no recursion.
     """
     n = g.vertex_count
     adjacency = g.adjacency
+    nodes = 1  # the root
+    if nodes > budget:
+        return UNDECIDED, None, nodes
+    if min(surplus) < 0:  # every child of the root is cut, and none is a cover
+        if c.total > n:
+            nodes += sum(len(adjacency[u]) for u, p in enumerate(c.pebbles) if p >= 3)
+        if nodes > budget:
+            return UNDECIDED, None, budget + 1
+        return UNSOLVABLE, None, nodes
     key_of = bytes if c.total < 256 else tuple
     visited = set()
 
@@ -437,11 +471,7 @@ def _search(g: Graph, c: Configuration, budget: int, pot):
                 s2.append(s)
             yield (u, b), child, fired2, t - 1, s2
 
-    nodes = 1  # the root
-    if nodes > budget:
-        return UNDECIDED, None, nodes
     # one (move into the node, generator of its children) frame per node on the path
-    surplus = [sum((p - 1) * x for p, x in zip(c.pebbles, row)) for row in pot]  # pot is symmetric
     stack = [(None, children(list(c.pebbles), 0, c.total, surplus, None))]
     while stack:
         node = next(stack[-1][1], None)

@@ -493,6 +493,111 @@ def test_surplus_never_rises_under_a_move_or_a_stop():
     assert covers >= 10
 
 
+def _root_children(g, c):
+    """The root's children: the distinct moves out of vertices holding three or more."""
+    if c.total == g.vertex_count:  # a move would take the total below the vertex count
+        return 0
+    return len({(u, b) for u in range(g.vertex_count) if c[u] >= 3 for b in g.adjacency[u]})
+
+
+def _reaches(g, c):
+    """Every empty e sees sum_v C(v) 2^(diam - d(v, e)) >= 2^diam, term by term."""
+    d = g.distances.tolist()
+    diam = max(map(max, d))
+    return all(sum(c[v] << (diam - d[v][e]) for v in range(g.vertex_count)) >= 1 << diam
+               for e in range(g.vertex_count) if c[e] == 0)
+
+
+def _negative_surplus_instances(rng, count):
+    """Connected 3-9 vertex instances that reach the search with some root S(e) < 0."""
+    found = []
+    while len(found) < count:
+        g = random_connected_graph(rng, max_vertices=9)
+        n = g.vertex_count
+        if n < 3 or g.edge_count == n * (n - 1) // 2:  # K_n is decided by the screen
+            continue
+        piles = rng.sample(range(n), rng.randint(1, 3))
+        counts = [0] * n
+        for _ in range(rng.randint(n, 2 * n + 4)):
+            counts[rng.choice(piles)] += 1
+        c = cp.Configuration(counts)
+        if min(_surplus(g, counts, range(n))) < 0 and _reaches(g, c):
+            found.append((g, c))
+    return found
+
+
+def test_negative_root_surplus_is_refuted_in_closed_form():
+    # the root's own budget check comes first, then every root child is
+    # counted as a cut node without being built
+    rng = random.Random(20)
+    closed = 0
+    for g, c in _negative_surplus_instances(rng, 300):
+        k = 1 + _root_children(g, c)
+        closed += k > 1
+        expected = {0: (cp.UNDECIDED, 1), 1: (cp.UNDECIDED, 2) if k > 1 else (cp.UNSOLVABLE, 1),
+                    k - 1: (cp.UNDECIDED, k), k: (cp.UNSOLVABLE, k), k + 1: (cp.UNSOLVABLE, k)}
+        for budget, (status, nodes) in sorted(expected.items()):
+            if budget >= 0:
+                r = cp.solve(g, c, budget)
+                assert (r.status, r.nodes_expanded, r.fast_path) == (status, nodes, FP_SEARCH)
+                assert r.certificate is None
+        r = cp.solve(g, c)
+        assert (r.status, r.nodes_expanded) == (cp.UNSOLVABLE, k)
+        if g.vertex_count <= 6:
+            assert not cp.solve_bruteforce(g, c)
+    assert closed > 200
+
+
+def test_closed_form_refutation_gets_the_budget_left_by_an_earlier_component():
+    # the first component, P_3 with [3, 0, 1], is solved by the search at
+    # its second node; the second, P_4 with [0, 7, 0, 0], has a negative root
+    # surplus at vertex 3 and a root with two children
+    g = cp.build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    c = cp.Configuration([3, 0, 1, 0, 7, 0, 0])
+    first = cp.solve(cp.path_graph(3), cp.Configuration([3, 0, 1]))
+    assert (first.status, first.nodes_expanded, first.fast_path) == (cp.SOLVABLE, 2, FP_SEARCH)
+    assert min(_surplus(cp.path_graph(4), [0, 7, 0, 0], range(4))) < 0
+    for budget, status, nodes in ((1, cp.UNDECIDED, 2), (2, cp.UNDECIDED, 3),
+                                  (3, cp.UNDECIDED, 4), (4, cp.UNDECIDED, 5),
+                                  (5, cp.UNSOLVABLE, 5), (6, cp.UNSOLVABLE, 5)):
+        r = cp.solve(g, c, budget)
+        assert (r.status, r.nodes_expanded, r.fast_path) == (status, nodes, FP_SEARCH), budget
+
+
+def test_screen_reads_reach_and_surplus_off_one_mass_vector():
+    # the screen's trivial-deficit verdict and the surplus it hands the search
+    # equal the per-vertex formulas; P_64, P_90 and C_130 have potentials and
+    # pebble counts beyond int64
+    rng = random.Random(23)
+    graphs = [random_connected_graph(rng, max_vertices=9) for _ in range(200)]
+    graphs += [cp.random_tree(rng.randint(4, 12), rng.getrandbits(32)) for _ in range(100)]
+    graphs += [cp.path_graph(64), cp.path_graph(90), cp.cycle_graph(130)]
+    passed = rejected = wide = 0
+    for g in graphs:
+        n = g.vertex_count
+        if g.edge_count == n * (n - 1) // 2:  # decided before the mass vector
+            continue
+        diam = int(g.distances.max())
+        for _ in range(8):
+            counts = [0] * n
+            top = rng.choice((2 * n, 1 << diam + 1))
+            for v in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                counts[v] = rng.randint(0, top)
+            c = cp.Configuration(counts)
+            if c.total < n or min(counts) >= 1:
+                continue
+            outcome = _screen(g, c)
+            if _reaches(g, c):
+                surplus = _surplus(g, counts, range(n))
+                assert outcome[2] == surplus
+                passed += 1
+                wide += max(map(abs, surplus)) >= 1 << 63
+            else:
+                assert (outcome.status, outcome.fast_path) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
+                rejected += 1
+    assert passed > 1000 and rejected > 150 and wide >= 5
+
+
 def test_weight_monotonicity_of_single_moves():
     # the weighted pebble mass seen from any target never increases
     rng = random.Random(4)
