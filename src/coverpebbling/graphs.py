@@ -26,7 +26,11 @@ UNREACHABLE = -1
 
 
 class Graph:
-    """Immutable simple graph: vertex_count, sorted edge tuple, adjacency, distances."""
+    """Immutable simple graph: vertex_count, sorted edge tuple, adjacency, distances.
+
+    Self-loops and out-of-range endpoints are rejected; duplicate edges and
+    reversed duplicates collapse to one.  Adjacency rows come out sorted.
+    """
 
     def __init__(self, vertex_count: int, edges):
         try:
@@ -46,13 +50,13 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             canonical.add((u, v) if u < v else (v, u))
-        self._edge_set = frozenset(canonical)
+        self._edge_set = canonical
         self.edges = tuple(sorted(canonical))
         nbrs = [[] for _ in range(vertex_count)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+        self.adjacency = tuple(map(tuple, nbrs))
         self._components, depth = _components(vertex_count, self.adjacency)
         self.distances = _bfs_all_pairs(vertex_count, self.adjacency, depth)
         self.distances.flags.writeable = False
@@ -223,13 +227,7 @@ def _list_bfs(n: int, adjacency) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
-def build_graph(vertex_count: int, edge_list) -> Graph:
-    """Validate and deduplicate an edge list into a Graph.
-
-    Rejects self-loops and out-of-range endpoints; duplicate edges and
-    reversed duplicates collapse to a single undirected edge.
-    """
-    return Graph(vertex_count, edge_list)
+build_graph = Graph  # an alias; the package itself calls Graph
 
 
 class Configuration:
@@ -354,7 +352,7 @@ def random_tree(n: int, seed: int) -> Graph:
         if degree[v] == 1:
             heapq.heappush(leaves, v)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
@@ -407,7 +405,7 @@ def graph_from_dict(d: dict) -> Graph:
         n, edges = d["n"], d["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON needs integer 'n' and list 'edges': {exc}") from exc
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def configuration_to_dict(c: Configuration) -> dict:

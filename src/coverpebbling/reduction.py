@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Configuration, Graph, build_graph
+from .graphs import Configuration, Graph
 from .solvability import (
     DEFAULT_NODE_BUDGET,
     SOLVABLE,
@@ -114,7 +114,7 @@ def build_reduction(x: X4CInstance) -> ReductionOutput:
         edges.append((b1_base + i, b2_base + i))
         edges.append((b2_base + i, v_vertex))
     edges.extend(zip(drain, drain[1:]))
-    graph = build_graph(drain[-1] + 1, edges)
+    graph = Graph(drain[-1] + 1, edges)
 
     pebbles = [0] * graph.vertex_count
     for i in range(m):

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
-from .graphs import Configuration, Graph, build_graph, check_pairing
+from .graphs import Configuration, Graph, check_pairing
 from .stacking import stacking_weights
 
 SOLVABLE = "solvable"
@@ -256,22 +256,22 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
 
     Pipeline: trivial accepts (everything covered), trivial rejects (total
     below the vertex count, or some vertex out of reach of the weighted
-    pebble mass), the exact complete-graph criterion, the stacking-number
-    guarantee, and finally an exhaustive memoized search, one pebbling move
-    per node.  The search has one cut, the exact surplus test: no cover
-    lies below a node where sum over unfired or active v of
-    (C(v) - 1) 2^-d(v, e) is negative at some vertex e, because no move
-    raises that sum.  A root that fails it is refuted in closed form, with
-    the node count the search would reach.  Disconnected
-    graphs are decided per component (solvable iff every component is).
-    Every component is screened by the cheap tests before any component is
-    searched; the first refuted component decides the answer, and no
-    subgraph is built after it.
-    A search that tests more than `budget` distinct states (moves), cut
-    ones included, reports UNDECIDED rather than guessing; each state costs
-    one pass over the vertices and edges, so the budget bounds the work.
-    `budget` must be a non-negative integer; budget 0 stops at the root,
-    after 1 node.
+    pebble mass), the exact complete-graph criterion, and finally an
+    exhaustive memoized search, one pebbling move per node.  The search has
+    one cut, the exact surplus test: no cover lies below a node where sum
+    over unfired or active v of (C(v) - 1) 2^-d(v, e) is negative at some
+    vertex e, because no move raises that sum.  A root that fails it is
+    refuted in closed form, with the node count the search would reach.
+    The stacking number λ only tags a component searched at t >= λ and
+    checks that search; it is read only for roots that pass the surplus
+    test.  Disconnected graphs are decided per component (solvable iff every
+    component is).  Every component is screened by the cheap tests before
+    any component is searched; the first refuted component decides the
+    answer, and no subgraph is built after it.  A search that tests more
+    than `budget` distinct states (moves), cut ones included, reports
+    UNDECIDED rather than guessing; each state costs one pass over the
+    vertices and edges, so the budget bounds the work.  `budget` must be a
+    non-negative integer; budget 0 stops at the root, after 1 node.
     """
     check_pairing(g, c)
     if g.vertex_count < 1:
@@ -289,7 +289,7 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
             sub, sub_conf = g, c
         else:
             index = {v: i for i, v in enumerate(comp)}
-            sub = build_graph(
+            sub = Graph(
                 len(comp), [(index[u], index[v]) for u in comp for v in g.adjacency[u] if u < v])
             sub_conf = Configuration(c[v] for v in comp)
         outcome = _screen(sub, sub_conf)
@@ -347,9 +347,9 @@ def _screen(g: Graph, c: Configuration):
             mass = [m + p * x for m, x in zip(mass, row)]
     if any(m < 1 << diam for m, x in zip(mass, c.pebbles) if x == 0):
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    lam = max(stacking_weights(g))  # the cover pebbling number
     surplus = list(map(operator.sub, mass, map(sum, pot)))  # pot is symmetric
-    return FP_STACKING if t >= lam else FP_SEARCH, pot, surplus
+    guaranteed = min(surplus) >= 0 and t >= max(stacking_weights(g))  # a refuted root has t < λ
+    return FP_STACKING if guaranteed else FP_SEARCH, pot, surplus
 
 
 def _complete_graph_certificate(c: Configuration) -> MoveCertificate:

@@ -152,21 +152,21 @@ def sweep(
     return ThresholdCurve(records)
 
 
-def crossing_point(curve, level: float = 0.5):
-    """Linear interpolation of the last upward crossing through `level`.
+def crossing_point(curve: ThresholdCurve):
+    """Linear interpolation of the last upward crossing through p_hat = 0.5.
 
-    Takes the last record with p_hat < level followed by a record with
-    p_hat >= level; None when the curve never crosses.
+    Takes the last record with p_hat < 0.5 followed by a record with
+    p_hat >= 0.5; None when the curve never crosses.
     """
-    records = curve.records if isinstance(curve, ThresholdCurve) else tuple(curve)
+    records = curve.records
     if not records:
         raise ValueError("empty curve")
-    below = [i for i, r in enumerate(records) if r.p_hat < level]
+    below = [i for i, r in enumerate(records) if r.p_hat < 0.5]
     if not below or below[-1] == len(records) - 1:
         return None
     i = below[-1]
     lo, hi = records[i], records[i + 1]
-    return lo.t + (level - lo.p_hat) * (hi.t - lo.t) / (hi.p_hat - lo.p_hat)
+    return lo.t + (0.5 - lo.p_hat) * (hi.t - lo.t) / (hi.p_hat - lo.p_hat)
 
 
 CSV_HEADER = "model,n,t,trials,solvable_count,p_hat,seed"

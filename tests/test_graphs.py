@@ -49,14 +49,28 @@ def test_build_rejects_self_loop():
 
 
 def test_build_idempotent_under_permutation_and_duplication():
+    assert cp.build_graph is cp.Graph
     rng = random.Random(1)
     base = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
-    expected = cp.build_graph(4, base).edges
+    expected = cp.build_graph(4, base)
     for _ in range(25):
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in base]
         edges += [rng.choice(base) for _ in range(rng.randint(0, 3))]
         rng.shuffle(edges)
-        assert cp.build_graph(4, edges).edges == expected
+        g = cp.build_graph(4, edges)
+        assert (g.edges, g.adjacency) == (expected.edges, expected.adjacency)
+    # adjacency rows are filled from the sorted edge tuple, so each comes out sorted
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        base = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in base]
+        edges += [e[::-1] for e in rng.sample(base, len(base) // 3)]
+        rng.shuffle(edges)
+        g = cp.Graph(n, edges)
+        assert g.edges == tuple(base)
+        assert all(a < b for row in g.adjacency for a, b in zip(row, row[1:]))
+        assert [set(row) for row in g.adjacency] == [
+            {w for e in base if v in e for w in e if w != v} for v in range(n)]
 
 
 def test_path_and_complete_distances():

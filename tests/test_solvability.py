@@ -564,6 +564,40 @@ def test_closed_form_refutation_gets_the_budget_left_by_an_earlier_component():
         assert (r.status, r.nodes_expanded, r.fast_path) == (status, nodes, FP_SEARCH), budget
 
 
+def test_stacking_weights_are_read_only_past_the_root_surplus_test(monkeypatch):
+    # a negative root surplus refutes the component, so t < lambda and lambda
+    # is never read; every other searched component reads it once
+    calls = []
+
+    def counting_stacking_weights(g):
+        calls.append(g.vertex_count)
+        return cp.stacking_weights(g)
+
+    monkeypatch.setattr("coverpebbling.solvability.stacking_weights", counting_stacking_weights)
+    rng = random.Random(21)
+    for g, c in _negative_surplus_instances(rng, 100):
+        r = cp.solve(g, c)
+        assert (r.status, r.fast_path, calls) == (cp.UNSOLVABLE, FP_SEARCH, [])
+    searched = refuted = 0
+    for _ in range(1500):
+        g = random_connected_graph(rng, max_vertices=7)
+        c = random_configuration(rng, g.vertex_count, max_total=16)
+        calls.clear()
+        r = cp.solve(g, c)
+        if r.fast_path in (FP_SEARCH, FP_STACKING):
+            negative = min(_surplus(g, c.pebbles, range(g.vertex_count))) < 0
+            assert calls == ([] if negative else [g.vertex_count])
+            searched += 1
+            refuted += negative
+        else:
+            assert calls == []
+    assert searched - refuted > 150 and refuted > 80
+    # P_3 with [3, 0, 1] is searched and solved; P_4 with [0, 7, 0, 0] is refuted at its root
+    calls.clear()
+    g = cp.build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    r = cp.solve(g, cp.Configuration([3, 0, 1, 0, 7, 0, 0]))
+    assert (r.status, calls) == (cp.UNSOLVABLE, [3])
+
 def test_screen_reads_reach_and_surplus_off_one_mass_vector():
     # the screen's trivial-deficit verdict and the surplus it hands the search
     # equal the per-vertex formulas; P_64, P_90 and C_130 have potentials and
@@ -695,11 +729,11 @@ def test_every_component_is_screened_before_any_search(monkeypatch, isolated_fir
 def test_no_subgraph_is_built_after_a_refuted_component(monkeypatch):
     built = []
 
-    def counting_build_graph(*args):
+    def counting_graph(*args):
         built.append(args[0])
-        return cp.build_graph(*args)
+        return cp.Graph(*args)
 
-    monkeypatch.setattr("coverpebbling.solvability.build_graph", counting_build_graph)
+    monkeypatch.setattr("coverpebbling.solvability.Graph", counting_graph)
     g = cp.build_graph(6, [(0, 1), (2, 3), (4, 5)])
     r = cp.solve(g, cp.Configuration([1, 0, 3, 0, 3, 0]))
     assert (r.status, r.fast_path) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
