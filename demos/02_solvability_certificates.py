@@ -43,7 +43,7 @@ agree = 0
 for _ in range(50):
     n = rng.randint(2, 5)
     edges = {(rng.randint(0, v - 1), v) for v in range(1, n)}
-    g = cp.build_graph(n, edges)
+    g = cp.Graph(n, edges)
     c = cp.Configuration([rng.randint(0, 3) for _ in range(n)])
     agree += cp.solve(g, c).solvable == cp.solve_bruteforce(g, c)
 print(f"  {agree}/50 random tree instances agree")

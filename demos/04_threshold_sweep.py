@@ -31,6 +31,6 @@ run(RandomModel.BOSE_EINSTEIN, 560, 740, cp.be_threshold_constant())
 
 print("\nAnchors that hold for every n, model, and seed:")
 for model in RandomModel:
-    top = cp.estimate_solvable_probability(model, N, 2 * N - 1, 500, SEED)
-    bottom = cp.estimate_solvable_probability(model, N, N - 1, 500, SEED)
+    top = cp.sweep(model, N, 2 * N - 1, 2 * N - 1, 1, 500, SEED).records[0]
+    bottom = cp.sweep(model, N, N - 1, N - 1, 1, 500, SEED).records[0]
     print(f"   {model.value}: p(2n-1) = {top.p_hat}   p(n-1) = {bottom.p_hat}")

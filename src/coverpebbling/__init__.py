@@ -64,13 +64,6 @@ from .solvability import (
     verify_certificate,
 )
 from .stacking import StackingResult, cover_pebbling_number, stacking_weight, stacking_weights
-from .thresholds import (
-    SweepRecord,
-    ThresholdCurve,
-    crossing_point,
-    curve_to_csv,
-    estimate_solvable_probability,
-    sweep,
-)
+from .thresholds import SweepRecord, ThresholdCurve, curve_to_csv, sweep
 
 __version__ = "0.1.0"

@@ -144,12 +144,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="decide cover solvability")
     p.add_argument("--graph", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--certificate", help="write the move certificate JSON here")
     p.add_argument("--budget", type=_positive_int, default=solvability.DEFAULT_NODE_BUDGET,
                    help="most search states to test, cut ones included, before "
                         "answering undecided; each state is one pebbling move")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the exhaustive brute-force oracle instead of the solver")
+    exclusive = p.add_mutually_exclusive_group()  # the oracle gives no certificate
+    exclusive.add_argument("--certificate", help="write the move certificate JSON here")
+    exclusive.add_argument("--oracle", action="store_true",
+                           help="use the exhaustive brute-force oracle instead of the solver")
 
     p = sub.add_parser("verify", help="check a move certificate")
     p.add_argument("--graph", required=True)
@@ -274,7 +275,10 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    built = reduction.build_reduction(_load_instance(args.instance))
+    instance = _load_instance(args.instance)
+    _check_writable(args.out_graph)
+    _check_writable(args.out_config)
+    built = reduction.build_reduction(instance)
     _write_json(args.out_graph, graph_to_dict(built.graph))
     _write_json(args.out_config, configuration_to_dict(built.config))
     return EXIT_OK
@@ -294,6 +298,7 @@ def _cmd_gen(args) -> int:
     missing = [f"--{name}" for name, value in params.items() if value is None]
     if missing:
         raise _UsageError(f"family {args.family} requires {' and '.join(missing)}")
+    _check_writable(args.out)
     _write_json(args.out, graph_to_dict(generate_family(args.family, **params)))
     return EXIT_OK
 

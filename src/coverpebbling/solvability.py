@@ -388,10 +388,12 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     node but not expanded.  When stopping a alone makes S negative, no new
     source is started; the root stops no source and keeps its children.
 
-    Moves into empty vertices are tried first.  Within that order the
-    active source's moves come first, then new sources ranked by
-    min((C(u) - 1) // 2, t - n, u's empty unfired neighbours), most first,
-    ties by u ascending.  On an unsolvable instance every state below a
+    A node's children are tried in ascending order of the key (target holds
+    pebbles, starts a new source, -rank, source, target): moves into empty
+    vertices first, the active source's moves before new sources', and new
+    sources by rank = min((C(u) - 1) // 2, t - n, u's empty unfired
+    neighbours), most first.  No two moves share a (source, target) pair,
+    so the key orders them all.  On an unsolvable instance every state below a
     node that passes the cut is tested once, so the order cannot change the
     node count; on a solvable one it decides how soon a cover is found (the
     figure gadget takes 21 nodes this way and 80,680 in generation order).
@@ -424,37 +426,32 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     visited = set()
 
     def children(carr, fired, t, surplus, move):
-        """Unvisited children in rank order, each with its surplus list.
+        """Unvisited children in key order, each with its surplus list.
 
         `move` is the move into the node, None at the root.  The list is
         None when the surplus test refutes the child.
         """
         if t == n:
             return
-        ordered = []  # (source, target, surplus before the move, fired set)
+        ordered = []  # (target holds pebbles, new source, -rank, source, target, S before, fired)
         stopped = surplus  # S once a stops; the root stops no source
         if move is not None:
             a, last = move
             if carr[a] >= 3:
-                ordered += [(a, b, surplus, fired) for b in adjacency[a]
+                ordered += [(carr[b] > 0, False, 0, a, b, surplus, fired) for b in adjacency[a]
                             if b >= last and not fired >> b & 1]
             stopped = [s - (carr[a] - 1) * x for s, x in zip(surplus, pot[a])]
-            if min(stopped) < 0:  # every new source's first move would be cut
-                stopped = None
-        if stopped is not None:
-            ranked = []
+        if min(stopped) >= 0:  # else every new source's first move would be cut
             for u in range(n):
                 cu = carr[u]
                 if cu < 3 or fired >> u & 1:
                     continue
                 targets = [b for b in adjacency[u] if not fired >> b & 1]
-                if targets:
-                    empties = sum(1 for b in targets if not carr[b])
-                    ranked.append((min((cu - 1) // 2, t - n, empties), u, targets))
-            ranked.sort(key=operator.itemgetter(0), reverse=True)
-            ordered += [(u, b, stopped, fired | 1 << u) for _, u, targets in ranked for b in targets]
-        ordered.sort(key=lambda m: carr[m[1]] > 0)
-        for u, b, before, fired2 in ordered:
+                rank = min((cu - 1) // 2, t - n, sum(1 for b in targets if not carr[b]))
+                fired_u = fired | 1 << u
+                ordered += [(carr[b] > 0, True, -rank, u, b, stopped, fired_u) for b in targets]
+        ordered.sort()
+        for _, _, _, u, b, before, fired2 in ordered:
             child = list(carr)
             child[u] -= 2
             child[b] += 1

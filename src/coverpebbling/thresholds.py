@@ -69,7 +69,20 @@ class ThresholdCurve:
 
     @property
     def crossing(self):
-        return crossing_point(self)
+        """Linear interpolation of the last upward crossing through p_hat = 0.5.
+
+        Takes the last record with p_hat < 0.5 followed by a record with
+        p_hat >= 0.5; None when the curve never crosses.
+        """
+        records = self.records
+        if not records:
+            raise ValueError("empty curve")
+        below = [i for i, r in enumerate(records) if r.p_hat < 0.5]
+        if not below or below[-1] == len(records) - 1:
+            return None
+        i = below[-1]
+        lo, hi = records[i], records[i + 1]
+        return lo.t + (0.5 - lo.p_hat) * (hi.t - lo.t) / (hi.p_hat - lo.p_hat)
 
 
 def _block_rows(n: int, t: int) -> int:
@@ -90,13 +103,6 @@ def _count_solvable(args) -> int:
         odd = (counts & 1).sum(axis=1)
         count += int(np.count_nonzero(odd + t >= 2 * n))
     return count
-
-
-def estimate_solvable_probability(
-    model: RandomModel, n: int, t: int, trials: int, seed: int
-) -> SweepRecord:
-    """Draw `trials` configurations on K_n and count the cover-solvable ones."""
-    return sweep(model, n, t, t, 1, trials, seed).records[0]
 
 
 def sweep(
@@ -150,23 +156,6 @@ def sweep(
         SweepRecord(model, n, t, trials, totals[t], seed) for t in ts
     )
     return ThresholdCurve(records)
-
-
-def crossing_point(curve: ThresholdCurve):
-    """Linear interpolation of the last upward crossing through p_hat = 0.5.
-
-    Takes the last record with p_hat < 0.5 followed by a record with
-    p_hat >= 0.5; None when the curve never crosses.
-    """
-    records = curve.records
-    if not records:
-        raise ValueError("empty curve")
-    below = [i for i, r in enumerate(records) if r.p_hat < 0.5]
-    if not below or below[-1] == len(records) - 1:
-        return None
-    i = below[-1]
-    lo, hi = records[i], records[i + 1]
-    return lo.t + (0.5 - lo.p_hat) * (hi.t - lo.t) / (hi.p_hat - lo.p_hat)
 
 
 CSV_HEADER = "model,n,t,trials,solvable_count,p_hat,seed"

@@ -15,7 +15,7 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 5) -> cp.Grap
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return cp.build_graph(n, edges)
+    return cp.Graph(n, edges)
 
 
 def random_configuration(rng: random.Random, n: int, max_total: int = 10) -> cp.Configuration:

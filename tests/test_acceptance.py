@@ -298,10 +298,10 @@ def test_criterion_11_safety_anchors():
     for n in (5, 50, 500):
         for model in RandomModel:
             for seed in (1, SEED):
-                high = cp.estimate_solvable_probability(model, n, 2 * n - 1, 300, seed)
+                high = cp.sweep(model, n, 2 * n - 1, 2 * n - 1, 1, 300, seed).records[0]
                 if high.p_hat != 1.0:
                     problems.append(f"{model.value} n={n} seed={seed} at 2n-1: {high.p_hat}")
-                low = cp.estimate_solvable_probability(model, n, n - 1, 300, seed)
+                low = cp.sweep(model, n, n - 1, n - 1, 1, 300, seed).records[0]
                 if low.p_hat != 0.0:
                     problems.append(f"{model.value} n={n} seed={seed} at n-1: {low.p_hat}")
     _report(11, "exactness anchors", problems)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import coverpebbling
-from coverpebbling import solvability, thresholds
+from coverpebbling import reduction, solvability, thresholds
 from coverpebbling.cli import run_cli
 
 
@@ -94,6 +94,18 @@ def test_solve_oracle_flag(p3, tmp_path):
     assert run_cli(["solve", "--graph", p3, "--config", config, "--oracle"]) == 0
     deep = _write(tmp_path / "deep.json", {"pebbles": [2100, 0, 0]})
     assert run_cli(["solve", "--graph", p3, "--config", deep, "--oracle"]) == 0
+
+
+def test_solve_oracle_excludes_certificate(p3, tmp_path, capsys):
+    # the oracle gives no certificate, so asking for one is a usage error
+    config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    out = str(tmp_path / "cert.json")
+    for flags in (["--oracle", "--certificate", out], ["--certificate", out, "--oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--graph", p3, "--config", config] + flags)
+        assert exc.value.code == 64
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_sample_deterministic_and_shaped(capsys):
@@ -375,6 +387,8 @@ def test_unwritable_output_paths_are_usage_errors(p3, tmp_path, capsys):
             run_cli(argv)
         assert exc.value.code == 64
         assert f"error: cannot write {missing}" in capsys.readouterr().err
+    # neither file of the reduce pair is written when the other cannot be
+    assert not (tmp_path / "g2.json").exists() and not (tmp_path / "c2.json").exists()
 
 
 def test_output_paths_are_checked_before_the_work(p3, tmp_path, capsys, monkeypatch):
@@ -383,12 +397,22 @@ def test_output_paths_are_checked_before_the_work(p3, tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(thresholds, "sweep", work)
     monkeypatch.setattr(solvability, "solve", work)
+    monkeypatch.setattr("coverpebbling.cli.generate_family", work)
+    monkeypatch.setattr(reduction, "build_reduction", work)
     config = _write(tmp_path / "c.json", {"pebbles": [7, 0, 0]})
+    instance = _write(tmp_path / "x.json", {
+        "ground_set_size": 8,
+        "sets": [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]],
+    })
     a_file = _write(tmp_path / "file.txt", "")
+    other = tmp_path / "other.json"  # the writable half of the reduce pair
     commands = (
         (["threshold", "--model", "be", "--n", "1000", "--t-min", "1400", "--t-max", "1650",
           "--step", "50", "--trials", "2000", "--seed", "1"], "--out"),
         (["solve", "--graph", p3, "--config", config], "--certificate"),
+        (["gen", "--family", "pn", "--n", "3000"], "--out"),
+        (["reduce", "--instance", instance, "--out-config", str(other)], "--out-graph"),
+        (["reduce", "--instance", instance, "--out-graph", str(other)], "--out-config"),
     )
     unwritable = (
         (str(tmp_path / "no-such-dir" / "out"), errno.ENOENT),
@@ -409,3 +433,4 @@ def test_output_paths_are_checked_before_the_work(p3, tmp_path, capsys, monkeypa
             with pytest.raises(AssertionError, match="the work ran"):
                 run_cli(argv + [option, str(path)])
         assert kept.read_text() == "old\n" and not fresh.exists()
+        assert not other.exists()

@@ -15,14 +15,14 @@ from coverpebbling.sampling import SeededStream
 
 
 def test_build_triangle():
-    g = cp.build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = cp.Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.vertex_count == 3
     assert g.edge_count == 3
     assert all(g.degree(v) == 2 for v in range(3))
 
 
 def test_build_dedups_reversed_pairs():
-    g = cp.build_graph(2, [(0, 1), (1, 0)])
+    g = cp.Graph(2, [(0, 1), (1, 0)])
     assert g.edges == ((0, 1),)
 
 
@@ -40,24 +40,24 @@ def test_has_edge_answers_any_pair():
 
 def test_build_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError, match="outside"):
-        cp.build_graph(3, [(0, 3)])
+        cp.Graph(3, [(0, 3)])
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        cp.build_graph(3, [(1, 1)])
+        cp.Graph(3, [(1, 1)])
 
 
 def test_build_idempotent_under_permutation_and_duplication():
     assert cp.build_graph is cp.Graph
     rng = random.Random(1)
     base = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
-    expected = cp.build_graph(4, base)
+    expected = cp.Graph(4, base)
     for _ in range(25):
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in base]
         edges += [rng.choice(base) for _ in range(rng.randint(0, 3))]
         rng.shuffle(edges)
-        g = cp.build_graph(4, edges)
+        g = cp.Graph(4, edges)
         assert (g.edges, g.adjacency) == (expected.edges, expected.adjacency)
     # adjacency rows are filled from the sorted edge tuple, so each comes out sorted
     for _ in range(200):
@@ -81,13 +81,13 @@ def test_path_and_complete_distances():
 
 
 def test_isolated_vertices_are_unreachable():
-    g = cp.build_graph(2, [])
+    g = cp.Graph(2, [])
     assert g.distances[0, 1] == UNREACHABLE
     assert not g.is_connected()
     with pytest.raises(ValueError, match="vertices 0 and 1"):
         cp.cover_pebbling_number(g)
     assert g.components() == [[0], [1]]
-    assert cp.build_graph(6, [(4, 1), (2, 5)]).components() == [[0], [1, 4], [2, 5], [3]]
+    assert cp.Graph(6, [(4, 1), (2, 5)]).components() == [[0], [1, 4], [2, 5], [3]]
 
 
 def test_distances_axioms_random():
@@ -96,7 +96,7 @@ def test_distances_axioms_random():
         n = rng.randint(1, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [e for e in pairs if rng.random() < 0.5]
-        d = cp.build_graph(n, edges).distances
+        d = cp.Graph(n, edges).distances
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
         for u in range(n):
@@ -123,7 +123,7 @@ def _relabelled(n, edges, first):
     """The graph with vertex `first` renamed 0, so that the component BFS starts there."""
     perm = list(range(n))
     perm[0], perm[first] = first, 0
-    return cp.build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return cp.Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 128, 129, 257])
@@ -146,7 +146,7 @@ def test_cube_distances_are_hamming_distances(d):
 
 
 def test_distances_are_int64_square_and_read_only():
-    for g in (cp.path_graph(5), cp.cube_graph(7), cp.build_graph(40, [(0, 1)])):
+    for g in (cp.path_graph(5), cp.cube_graph(7), cp.Graph(40, [(0, 1)])):
         n = g.vertex_count
         assert g.distances.dtype == np.int64 and g.distances.shape == (n, n)
         assert not g.distances.flags.writeable
@@ -183,9 +183,9 @@ def test_kernel_choice_at_both_rule_boundaries(monkeypatch):
         # its component BFS starts in the middle: distances up to 2 * ecc, so every plane is used
         (_relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc), "_bitset_bfs"),
         (_relabelled(2 * ecc + 2, path(2 * ecc + 2), ecc), "_list_bfs"),
-        (cp.build_graph(301, [(u + 1, v + 1) for u, v in path(300)]), "_list_bfs"),
-        (cp.build_graph(4 * 32, [(u + 32 * k, v + 32 * k)
-                                 for k in range(4) for u, v in cp.cube_graph(5).edges]),
+        (cp.Graph(301, [(u + 1, v + 1) for u, v in path(300)]), "_list_bfs"),
+        (cp.Graph(4 * 32, [(u + 32 * k, v + 32 * k)
+                           for k in range(4) for u, v in cp.cube_graph(5).edges]),
          "_bitset_bfs"),
     ]
     for g, kernel in cases:
@@ -199,9 +199,9 @@ def test_kernel_choice_at_both_rule_boundaries(monkeypatch):
 
 def test_disconnected_distances():
     ecc = graphs.BITSET_MAX_ECCENTRICITY
-    lone_and_path = cp.build_graph(301, [(v, v + 1) for v in range(1, 300)])
-    cubes = cp.build_graph(3 * 64, [(u + 64 * k, v + 64 * k)
-                                    for k in range(3) for u, v in cp.cube_graph(6).edges])
+    lone_and_path = cp.Graph(301, [(v, v + 1) for v in range(1, 300)])
+    cubes = cp.Graph(3 * 64, [(u + 64 * k, v + 64 * k)
+                              for k in range(3) for u, v in cp.cube_graph(6).edges])
     for g in (lone_and_path, cubes):
         assert not g.is_connected()
         _assert_bfs_distances(g)
@@ -223,7 +223,7 @@ def test_both_kernels_agree_on_random_graphs():
         n = rng.randint(20, 140)
         p = rng.uniform(0.5, 6.0) / n  # many disconnected, some long and thin
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = cp.build_graph(n, edges)
+        g = cp.Graph(n, edges)
         bitset = graphs._bitset_bfs(n, g.adjacency)
         assert (bitset == graphs._list_bfs(n, g.adjacency)).all()
         assert (bitset == g.distances).all()

@@ -152,7 +152,7 @@ def test_certificate_checks_never_list_the_edges():
     rng = random.Random(10)
     for _ in range(200):
         g = random_connected_graph(rng, max_vertices=6)
-        h = cp.build_graph(g.vertex_count, g.edges)
+        h = cp.Graph(g.vertex_count, g.edges)
         h.edges = _EdgesNotListed()
         n = g.vertex_count
         c = random_configuration(rng, n, max_total=12)
@@ -285,7 +285,7 @@ def test_execute_certificate_follows_the_single_step_schedule():
     # (2, 0) runs until vertex 0 holds two pebbles, then the earlier move
     # (0, 1) takes over for one step; firing all three (2, 0) first would
     # also be legal, but a different sequence
-    g = cp.build_graph(3, [(0, 1), (0, 2)])
+    g = cp.Graph(3, [(0, 1), (0, 2)])
     c = cp.Configuration([0, 0, 8])
     cert = cp.MoveCertificate({(2, 0): 3, (0, 1): 1})
     expected = [(2, 0), (2, 0), (0, 1), (2, 0)]
@@ -373,7 +373,7 @@ def test_solve_examples_and_fast_paths():
     assert not r.solvable and r.fast_path == FP_TRIVIAL_DEFICIT
 
     with pytest.raises(ValueError):
-        cp.solve(cp.build_graph(0, []), cp.Configuration([]))
+        cp.solve(cp.Graph(0, []), cp.Configuration([]))
 
 
 def test_solve_matches_bruteforce_random():
@@ -552,7 +552,7 @@ def test_closed_form_refutation_gets_the_budget_left_by_an_earlier_component():
     # the first component, P_3 with [3, 0, 1], is solved by the search at
     # its second node; the second, P_4 with [0, 7, 0, 0], has a negative root
     # surplus at vertex 3 and a root with two children
-    g = cp.build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    g = cp.Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
     c = cp.Configuration([3, 0, 1, 0, 7, 0, 0])
     first = cp.solve(cp.path_graph(3), cp.Configuration([3, 0, 1]))
     assert (first.status, first.nodes_expanded, first.fast_path) == (cp.SOLVABLE, 2, FP_SEARCH)
@@ -594,7 +594,7 @@ def test_stacking_weights_are_read_only_past_the_root_surplus_test(monkeypatch):
     assert searched - refuted > 150 and refuted > 80
     # P_3 with [3, 0, 1] is searched and solved; P_4 with [0, 7, 0, 0] is refuted at its root
     calls.clear()
-    g = cp.build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    g = cp.Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
     r = cp.solve(g, cp.Configuration([3, 0, 1, 0, 7, 0, 0]))
     assert (r.status, calls) == (cp.UNSOLVABLE, [3])
 
@@ -696,7 +696,7 @@ def test_partial_executions_leave_solvable_residual():
 
 
 def test_disconnected_decided_per_component():
-    g = cp.build_graph(4, [(0, 1), (2, 3)])
+    g = cp.Graph(4, [(0, 1), (2, 3)])
     assert cp.solve(g, cp.Configuration([3, 0, 1, 1])).solvable
     assert not cp.solve(g, cp.Configuration([3, 0, 2, 0])).solvable
     assert not cp.solve(g, cp.Configuration([3, 0, 0, 0])).solvable
@@ -717,10 +717,10 @@ def test_every_component_is_screened_before_any_search(monkeypatch, isolated_fir
     built = cp.build_reduction(no_cover)
     n = built.graph.vertex_count
     if isolated_first:  # the empty vertex is 0 and the gadget is shifted up by one
-        g = cp.build_graph(n + 1, [(u + 1, v + 1) for u, v in built.graph.edges])
+        g = cp.Graph(n + 1, [(u + 1, v + 1) for u, v in built.graph.edges])
         c = cp.Configuration((0,) + built.config.pebbles)
     else:
-        g = cp.build_graph(n + 1, built.graph.edges)
+        g = cp.Graph(n + 1, built.graph.edges)
         c = cp.Configuration(built.config.pebbles + (0,))
     r = cp.solve(g, c, budget=30000)
     assert (r.status, r.nodes_expanded, r.fast_path) == (cp.UNSOLVABLE, 0, FP_TRIVIAL_DEFICIT)
@@ -734,7 +734,7 @@ def test_no_subgraph_is_built_after_a_refuted_component(monkeypatch):
         return cp.Graph(*args)
 
     monkeypatch.setattr("coverpebbling.solvability.Graph", counting_graph)
-    g = cp.build_graph(6, [(0, 1), (2, 3), (4, 5)])
+    g = cp.Graph(6, [(0, 1), (2, 3), (4, 5)])
     r = cp.solve(g, cp.Configuration([1, 0, 3, 0, 3, 0]))
     assert (r.status, r.fast_path) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
     assert built == [2]  # the first component only

@@ -78,8 +78,8 @@ def _kernel_cases():
     # swept across the top of the first run (bits = 55), the largest sums a
     # run can hold
     for d in range(48, 66):
-        yield cp.build_graph(127, [(v, v + 1) for v in range(d)]
-                             + [(d, leaf) for leaf in range(d + 1, 127)])
+        yield cp.Graph(127, [(v, v + 1) for v in range(d)]
+                       + [(d, leaf) for leaf in range(d + 1, 127)])
     for seed in range(20):
         yield cp.random_tree(2 + 23 * seed, seed)
     rng = random.Random(5)
@@ -112,13 +112,13 @@ def test_lambda_invariant_under_relabeling():
         n = g.vertex_count
         perm = list(range(n))
         rng.shuffle(perm)
-        relabeled = cp.build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        relabeled = cp.Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
         assert (cp.cover_pebbling_number(relabeled).cover_number
                 == cp.cover_pebbling_number(g).cover_number)
 
 
 def test_disconnected_rejected_with_pair():
-    g = cp.build_graph(4, [(0, 1), (2, 3)])
+    g = cp.Graph(4, [(0, 1), (2, 3)])
     message = "^graph is disconnected: no path between vertices 0 and 2$"
     with pytest.raises(ValueError, match=message):
         cp.cover_pebbling_number(g)
@@ -127,7 +127,7 @@ def test_disconnected_rejected_with_pair():
     with pytest.raises(ValueError, match=message):
         cp.stacking_weight(g, 0)
     with pytest.raises(ValueError):
-        cp.cover_pebbling_number(cp.build_graph(0, []))
+        cp.cover_pebbling_number(cp.Graph(0, []))
 
 
 @pytest.mark.parametrize(

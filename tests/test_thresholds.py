@@ -23,15 +23,15 @@ def _record(t, solvable_count, trials=10):
 @pytest.mark.parametrize("seed", [0, 424242])
 def test_exactness_anchors(model, seed):
     n = 12
-    rec = cp.estimate_solvable_probability(model, n, 2 * n - 1, 300, seed)
+    rec = cp.sweep(model, n, 2 * n - 1, 2 * n - 1, 1, 300, seed).records[0]
     assert rec.p_hat == 1.0
-    rec = cp.estimate_solvable_probability(model, n, n - 1, 300, seed)
+    rec = cp.sweep(model, n, n - 1, n - 1, 1, 300, seed).records[0]
     assert rec.p_hat == 0.0
 
 
 def test_small_be_probability_matches_enumeration():
     # on K_2 with two pebbles only the split (1,1) solves: probability 1/3
-    rec = cp.estimate_solvable_probability(RandomModel.BOSE_EINSTEIN, 2, 2, 100_000, 9)
+    rec = cp.sweep(RandomModel.BOSE_EINSTEIN, 2, 2, 2, 1, 100_000, 9).records[0]
     assert abs(rec.p_hat - 1 / 3) < 0.01
 
 
@@ -43,7 +43,7 @@ def test_phat_matches_exact_tail_probability():
             (cp.be_odd_stack_pmf(n, t, x) for x in range(max(0, 2 * n - t), n + 1)),
             Fraction(0),
         )
-        rec = cp.estimate_solvable_probability(RandomModel.BOSE_EINSTEIN, n, t, trials, seed)
+        rec = cp.sweep(RandomModel.BOSE_EINSTEIN, n, t, t, 1, trials, seed).records[0]
         p = float(tail)
         margin = 4 * math.sqrt(p * (1 - p) / trials) + 1e-9
         assert abs(rec.p_hat - p) <= margin
@@ -178,9 +178,6 @@ def test_sweep_validation():
         for n, t_min, t_max, step, trials in bad:
             with pytest.raises(ValueError):
                 cp.sweep(model, n, t_min, t_max, step, trials, seed=1)
-            if t_min == t_max and step == 1:
-                with pytest.raises(ValueError):
-                    cp.estimate_solvable_probability(model, n, t_min, trials, 1)
         for workers in (0, -3):
             with pytest.raises(ValueError, match="worker"):
                 cp.sweep(model, 5, 5, 5, 1, 3, seed=1, workers=workers)
@@ -219,16 +216,16 @@ def test_sweep_rejects_draw_bounds_beyond_32_bits_before_drawing(monkeypatch):
             == MAX_BOUND - 5
 
 
-def test_crossing_point_interpolation():
-    assert cp.crossing_point(ThresholdCurve((_record(10, 2), _record(12, 8)))) == 11.0
-    assert cp.crossing_point(ThresholdCurve((_record(5, 0), _record(6, 10)))) == 5.5
-    assert cp.crossing_point(ThresholdCurve((_record(5, 0), _record(6, 0)))) is None
-    assert cp.crossing_point(ThresholdCurve((_record(5, 9), _record(6, 10)))) is None
+def test_crossing_interpolation():
+    assert ThresholdCurve((_record(10, 2), _record(12, 8))).crossing == 11.0
+    assert ThresholdCurve((_record(5, 0), _record(6, 10))).crossing == 5.5
+    assert ThresholdCurve((_record(5, 0), _record(6, 0))).crossing is None
+    assert ThresholdCurve((_record(5, 9), _record(6, 10))).crossing is None
     # last upward crossing wins when the curve dips back below the level
     curve = ThresholdCurve((_record(1, 0), _record(2, 8), _record(3, 2), _record(4, 10)))
-    assert cp.crossing_point(curve) == 3.375
+    assert curve.crossing == 3.375
     with pytest.raises(ValueError):
-        cp.crossing_point(ThresholdCurve(()))
+        ThresholdCurve(()).crossing
 
 
 def test_curve_validation():
