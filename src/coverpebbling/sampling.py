@@ -26,8 +26,10 @@ from the same stream.  The picks come from `_integers`, which returns
 exactly `rng.integers(0, bounds, (rows, t))`.  When Lemire's 32-bit
 multiply-and-reject method (the one numpy uses) rejects no word of the
 block, it computes the picks from one call's worth of raw Philox words at
-once; otherwise it lets numpy draw them.  A sweep re-keys one generator
-per block (`rekey`) instead of building a new one.
+once; otherwise it lets numpy draw them.  Both kernels work in the arrays
+of a `DrawBuffers`, which a caller drawing many blocks of one shape passes
+to every call.  A sweep task keeps one set, and one generator that it
+re-keys per block (`rekey`) instead of building a new one.
 """
 
 from __future__ import annotations
@@ -99,12 +101,13 @@ def _check_n_t(n: int, t: int) -> None:
         raise ValueError("cannot place pebbles on zero vertices")
 
 
-def _integers(rng: np.random.Generator, bounds, shape: tuple) -> np.ndarray:
-    """Exactly `rng.integers(0, bounds, shape)` for a fresh Philox generator.
+def _integers(rng: np.random.Generator, bounds, out: np.ndarray) -> np.ndarray:
+    """Exactly `rng.integers(0, bounds, out.shape)` for a fresh Philox generator.
 
-    `shape` is (rows, t) and `bounds` is a scalar or a length-t vector, every
-    bound in 1..MAX_BOUND.  numpy draws each value below a bound b >= 2 from
-    one uint32 word w by Lemire's method: m = w * b in 64 bits gives m >> 32,
+    `out` is a C-contiguous uint64 array of shape (rows, t) and `bounds` is
+    a scalar or a length-t vector, every bound in 1..MAX_BOUND.  numpy
+    draws each value below a bound b >= 2 from one uint32 word w by
+    Lemire's method: m = w * b in 64 bits gives m >> 32,
     unless the low half of m lies below 2^32 mod b; then the word is rejected
     and the draw takes the next one.  A bound of 1 gives 0 and takes no word.
     When every bound is at least 2, one random_raw call supplies a word per
@@ -117,68 +120,121 @@ def _integers(rng: np.random.Generator, bounds, shape: tuple) -> np.ndarray:
     at n = 1000, a third to a half at n = 3 * 10^4 and nearly all at 10^5,
     where a block is one row of t draws and its raw words go to waste.
 
-    rng must be fresh: at counter 0 of its key with no half-word buffered, as
-    a new generator or one just re-keyed is.  It is left spent.
+    The products are formed in `out`, and a computed block is returned as
+    its int64 view; a block numpy draws is numpy's own new array.  rng must
+    be fresh: at counter 0 of its key with no half-word buffered, as a new
+    generator or one just re-keyed is.  It is left spent.
     """
-    bounds = np.asarray(bounds)
-    size = shape[0] * shape[1]
+    bounds, shape, size = np.asarray(bounds), out.shape, out.size
     if not size:
-        return np.zeros(shape, dtype=np.int64)
-    low = bounds.min()
-    if not (low >= 1 and bounds.max() <= MAX_BOUND):
+        return out.view(np.int64)
+    least = bounds.min()
+    if not (least >= 1 and bounds.max() <= MAX_BOUND):
         raise ValueError(f"draw bounds must lie in 1..{MAX_BOUND}")
-    bounds = bounds.astype(np.uint32)
-    if low > 1:
-        # uint32 halves in next_uint32 order (low, then high), widened before
-        # the multiply: a uint32 product would wrap, and under numpy 1.22's
-        # value-based casting even a uint64 scalar bound keeps it uint32
+    bounds = bounds.astype(np.uint32, copy=False)
+    if least > 1:
+        # uint32 halves in next_uint32 order (low, then high), multiplied in 64
+        # bits: a uint32 product would wrap, and under numpy 1.22's value-based
+        # casting a scalar bound would pick the uint32 loop without `dtype`
         words = rng.bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False)
-        m = words.view("<u4")[:size].astype(np.uint64).reshape(shape)
-        m *= bounds
-        if not (m.astype(np.uint32) < bounds).any():
-            m >>= np.uint64(32)
-            return m.view(np.int64)
+        halves = words.view("<u4")[:size].reshape(shape)
+        np.multiply(halves, bounds, out=out, dtype=np.uint64)
+        # the products' low halves, in place of the words: uint32 products wrap
+        low = np.multiply(halves, bounds, out=halves)
+        if (low.min(axis=0) >= bounds).all():
+            np.right_shift(out, np.uint64(32), out=out)
+            return out.view(np.int64)
         rekey(rng, *rng.bit_generator.state["state"]["key"].tolist())
     return rng.integers(0, bounds, shape)
 
 
-def mb_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+class DrawBuffers:
+    """Arrays reused by `mb_counts` and `be_counts` across blocks of one shape.
+
+    One set serves blocks of at most `rows` trials of t pebbles on n
+    vertices, so a caller drawing many such blocks allocates these once and
+    each block allocates only its raw words and bincount's counts.  A set
+    holds one block at a time: concurrent draws need a set each.
+
+    `be_counts` numbers the balls of a block two ways.  Its picks name ball p
+    of row r as r * (n + t) + p, original balls first in each row.  Pointer
+    jumping runs over `rows * n + rows * t` slots instead: original ball v of
+    row r at r * n + v (its counts cell), drawn ball k of row r at
+    rows * n + r * t + k, so the drawn balls' links are one contiguous run.
+    `relabel` maps the first numbering to the second; the two `urn` arrays
+    hold the identity on the original slots and take turns holding the links.
+    """
+
+    def __init__(self, n: int, t: int, rows: int):
+        self.n, self.t, self.rows = n, t, rows
+        self._picks = self._urn = None
+
+    def picks(self, n: int, t: int, rows: int) -> np.ndarray:
+        """The (rows, t) uint64 array `_integers` forms the block's picks in."""
+        if (n, t) != (self.n, self.t) or rows > self.rows:
+            raise ValueError(f"buffers for up to {self.rows} rows of t = {self.t} on "
+                             f"n = {self.n} cannot hold {rows} rows of t = {t} on n = {n}")
+        if self._picks is None:
+            self._picks = np.empty((self.rows, t), dtype=np.uint64)
+        return self._picks[:rows]
+
+    def urn(self) -> tuple:
+        """(relabel, urn, urn) for `be_counts`; from now on the picks live in the second urn."""
+        if self._urn is None:
+            n, t, rows, base = self.n, self.t, self.rows, self.rows * self.n
+            relabel = np.empty((rows, n + t), dtype=np.int64)
+            relabel[:, :n] = np.arange(base).reshape(rows, n)
+            relabel[:, n:] = np.arange(base, base + rows * t).reshape(rows, t)
+            urn = [np.arange(base + rows * t) for _ in "ab"]
+            self._picks = urn[1][base:].view(np.uint64).reshape(rows, t)
+            self._urn = (relabel.reshape(-1), *urn)
+        return self._urn
+
+
+def mb_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1,
+              buffers: DrawBuffers | None = None) -> np.ndarray:
     """Maxwell-Boltzmann counts of `rows` trials, shape (rows, n).
 
     Each row places t pebbles on independent uniform vertices; one bincount
     over the keys row * n + vertex counts the whole block.  The picks come
-    from `_integers`, whose precondition on rng applies.
+    from `_integers`, whose precondition on rng applies, into `buffers`
+    (a `DrawBuffers` for (n, t) and at least `rows` rows; new when None).
     """
-    picks = _integers(rng, n, (rows, t))
-    picks += np.arange(rows)[:, None] * n
-    return np.bincount(picks.ravel(), minlength=rows * n).reshape(rows, n)
+    if buffers is None:
+        buffers = DrawBuffers(n, t, rows)
+    picks = _integers(rng, n, buffers.picks(n, t, rows))
+    np.add(picks, np.arange(rows)[:, None] * n, out=picks)
+    return np.bincount(picks.reshape(-1), minlength=rows * n).reshape(rows, n)
 
 
-def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1,
+              buffers: DrawBuffers | None = None) -> np.ndarray:
     """Bose-Einstein counts of `rows` trials via Polya urn draws, shape (rows, n).
 
     Draw k (1-indexed) holds n + k - 1 balls, so vertex j is picked with
     probability (1 + count_j) / (n + k - 1).  Ball n + k - 1 of a row is a
     uniform pick among the balls before it: an index below n is an original
     ball, any other is a copy of the ball drawn at that earlier step.
-    Pointer jumping (ref = ref[ref] until it stops changing) takes every
-    ball to its original ball in O(log depth) array passes.  The picks come
-    from `_integers`, whose precondition on rng applies.
+    Pointer jumping (link = link[link]) takes every drawn ball to its
+    original ball in O(log depth) passes over the drawn balls alone, as laid
+    out in `DrawBuffers`.  The picks come from `_integers`, whose
+    precondition on rng applies, into `buffers` (for (n, t) and at least
+    `rows` rows; new when None).
     """
-    width = n + t
-    ref = np.arange(rows * width)  # ball j of row r sits at r * width + j
-    ball = np.arange(n, width)
-    picks = _integers(rng, ball, (rows, t))
-    picks -= ball
-    ref.reshape(rows, width)[:, n:] += picks
-    while True:
-        jumped = ref[ref]
-        if (jumped == ref).all():
-            break
-        ref = jumped
-    # each drawn ball of row r now points at r * width + its vertex
-    roots = ref.reshape(rows, width)[:, n:].ravel()
-    return np.bincount(roots, minlength=rows * width).reshape(rows, width)[:, :n]
+    if buffers is None:
+        buffers = DrawBuffers(n, t, rows)
+    width, base = n + t, buffers.rows * n
+    relabel, src, dst = buffers.urn()
+    picks = _integers(rng, np.arange(n, width), buffers.picks(n, t, rows))
+    np.add(picks, np.arange(rows)[:, None] * width, out=picks)
+    links = src[base:base + rows * t]
+    np.take(relabel, picks.reshape(-1), out=links, mode="clip")
+    # a link below base has reached its original ball
+    while links.size and links.max() >= base:
+        jumped = dst[base:base + rows * t]
+        np.take(src, links, out=jumped, mode="clip")
+        src, dst, links = dst, src, jumped
+    return np.bincount(links, minlength=rows * n).reshape(rows, n)
 
 
 def sample_mb(n: int, t: int, s: SeededStream) -> Configuration:

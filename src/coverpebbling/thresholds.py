@@ -12,28 +12,35 @@ not depend on the rows after it, so each trial's outcome is a pure
 function of (n, seed, t, trial index).  A worker always takes whole
 blocks, so sweeps are bit-reproducible for any worker count.
 
-A task keeps one Philox generator and re-keys it to each block's stream
-(`sampling.rekey`), which is the state a new generator for that stream
-starts in, so one block costs one state reset instead of a new generator.
-Every draw bound, up to n + t - 1, must stay within the sampler's exact
-32-bit path (`sampling.MAX_BOUND`); `sweep` checks this up front.
+A task is a run of blocks of one point: the whole point when workers == 1,
+a chunk of it otherwise.  It keeps one Philox generator and re-keys it to
+each block's stream (`sampling.rekey`), which is the state a new generator
+for that stream starts in, so one block costs one state reset instead of a
+new generator.  It also keeps one `sampling.DrawBuffers` and hands it to
+`mb_counts` or `be_counts` for every block, so the draw arrays are
+allocated once per task, not once per block.  Every draw bound, up to
+n + t - 1, must stay within the sampler's exact 32-bit path
+(`sampling.MAX_BOUND`); `sweep` checks this up front.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
-from .sampling import MAX_BOUND, RandomModel, SeededStream, be_counts, mb_counts, rekey
+from .sampling import (MAX_BOUND, DrawBuffers, RandomModel, SeededStream, be_counts, mb_counts,
+                       rekey)
 
 _T_STRIDE = 2**32  # stream index packs (t, block) as t * 2^32 + block
-# A block holds at most this many counts cells, rows * (n + t), and at most
-# _MAX_ROWS trials: the draw buffers stay in cache, and a large t falls
-# back to one trial per block.
+# A block holds at most _MAX_ROWS trials and rows * (n + t) <= _BLOCK_CELLS
+# balls, so each of its arrays (picks, counts, be_counts' ball arrays) has at
+# most 2^15 int64 entries, 256 KB; a large t falls back to one trial per
+# block.  Both set the block rows, so both are part of the stream layout.
 _BLOCK_CELLS = 2**15
 _MAX_ROWS = 64
 
@@ -96,13 +103,21 @@ def _count_solvable(args) -> int:
     draw = mb_counts if RandomModel(model_value) is RandomModel.MAXWELL_BOLTZMANN else be_counts
     rows = _block_rows(n, t)
     rng = SeededStream(seed).generator()
+    buffers = DrawBuffers(n, t, rows)
     count = 0
     for block in range(lo, hi):
         rekey(rng, seed, t * _T_STRIDE + block)
-        counts = draw(n, t, rng, min(rows, trials - block * rows))
-        odd = (counts & 1).sum(axis=1)
+        counts = draw(n, t, rng, min(rows, trials - block * rows), buffers)
+        odd = np.bitwise_and(counts, 1, out=counts).sum(axis=1)
         count += int(np.count_nonzero(odd + t >= 2 * n))
     return count
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def sweep(
@@ -122,6 +137,9 @@ def sweep(
     pool has at most os.cpu_count() processes, whatever `workers` asks for.
     """
     model = RandomModel(model)
+    n, t_min, t_max, step, trials, seed, workers = (_integer(*arg) for arg in (
+        ("n", n), ("t_min", t_min), ("t_max", t_max), ("step", step), ("trials", trials),
+        ("seed", seed), ("workers", workers)))
     if t_min > t_max:
         raise ValueError("t_min must not exceed t_max")
     if step < 1:
@@ -141,7 +159,7 @@ def sweep(
     tasks = []
     for t in ts:
         blocks = -(-trials // _block_rows(n, t))
-        chunk = max(1, -(-blocks // (workers * 4)))
+        chunk = blocks if workers == 1 else -(-blocks // (workers * 4))
         tasks += [(model.value, n, t, lo, min(lo + chunk, blocks), trials, seed)
                   for lo in range(0, blocks, chunk)]
     if workers == 1:

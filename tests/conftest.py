@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 import coverpebbling as cp
 
 
@@ -53,3 +55,11 @@ def coverable_instance(rng: random.Random, span: int) -> cp.X4CInstance:
     sets = [perm[:4], perm[4:]] + [rng.sample(range(8), 4) for _ in range(span)]
     rng.shuffle(sets)
     return cp.X4CInstance(8, sets)
+
+
+def urn_counts(n: int, picks) -> np.ndarray:
+    """The Polya urn ball by ball: draw k copies ball picks[k], an original below n."""
+    balls = []
+    for idx in picks:
+        balls.append(idx if idx < n else balls[idx - n])
+    return np.bincount(np.asarray(balls, dtype=np.int64), minlength=n)

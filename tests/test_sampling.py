@@ -8,9 +8,9 @@ import pytest
 
 import coverpebbling as cp
 from coverpebbling import thresholds
-from coverpebbling.sampling import (MAX_BOUND, SeededStream, _integers, be_counts, mb_counts,
-                                   rekey)
-from conftest import compositions
+from coverpebbling.sampling import (MAX_BOUND, DrawBuffers, SeededStream, _integers, be_counts,
+                                   mb_counts, rekey)
+from conftest import compositions, urn_counts
 
 
 def test_streams_are_reproducible_and_distinct():
@@ -47,16 +47,8 @@ def test_rekey_gives_the_fresh_state_of_the_stream(seed, index):
         assert got.integers(0, 1000, 9).tolist() == draws
 
 
-def _urn(n, picks):
-    """The urn ball by ball: draw k copies ball picks[k], an original below n."""
-    balls = []
-    for idx in picks:
-        balls.append(idx if idx < n else balls[idx - n])
-    return np.bincount(np.asarray(balls, dtype=np.int64), minlength=n)
-
-
 def _polya_reference(n, t, rng):
-    return _urn(n, rng.integers(0, n + np.arange(t)).tolist())
+    return urn_counts(n, rng.integers(0, n + np.arange(t)).tolist())
 
 
 def _lemire_reference(rng, bounds, shape):
@@ -87,7 +79,7 @@ def _lemire_reference(rng, bounds, shape):
 def _assert_integers_match_numpy(bounds, shape, seed):
     stream = SeededStream(seed, 17)
     expected = stream.generator().integers(0, bounds, shape)
-    got = _integers(stream.generator(), bounds, shape)
+    got = _integers(stream.generator(), bounds, np.empty(shape, dtype=np.uint64))
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert (got == expected).all()
     reference, rejected = _lemire_reference(stream.generator(), bounds, shape)
@@ -132,7 +124,7 @@ def test_integers_edge_shapes(rows):
                                     np.array([5, MAX_BOUND + 1, 7])])
 def test_integers_rejects_bounds_outside_its_domain(bounds):
     with pytest.raises(ValueError, match="bounds"):
-        _integers(SeededStream(1).generator(), bounds, (2, 3))
+        _integers(SeededStream(1).generator(), bounds, np.empty((2, 3), dtype=np.uint64))
 
 
 class _CountingGenerator(np.random.Generator):
@@ -166,7 +158,7 @@ def test_block_counts_match_the_per_row_reference(n):
             np.bincount(row, minlength=n).tolist() for row in picks]
         picks = stream.generator().integers(0, n + np.arange(t), (rows, t))
         assert be_counts(n, t, stream.generator(), rows).tolist() == [
-            _urn(n, row).tolist() for row in picks.tolist()]
+            urn_counts(n, row).tolist() for row in picks.tolist()]
 
 
 @pytest.mark.parametrize("t", [0, 1, 5, 1600, 2500])
@@ -324,3 +316,28 @@ def test_threshold_constants():
     assert abs(gamma - 1.6180339887) < 1e-9
     assert abs(gamma * gamma - gamma - 1) < 1e-12
     assert abs((2 - gamma) - gamma / (1 + 2 * gamma)) < 1e-12
+
+
+@pytest.mark.parametrize("draw", [mb_counts, be_counts])
+def test_reused_buffers_give_the_counts_of_fresh_ones(draw):
+    # full and short blocks through one set; at n = 2 * 10^5 about half the
+    # blocks are drawn by numpy, between blocks computed from raw words
+    for n, t, rows in ((1000, 1600, 12), (7, 30, 5), (200_000, 5000, 3), (3, 0, 2), (1, 2, 1)):
+        buffers = DrawBuffers(n, t, rows)
+        sizes = (rows, 1, rows, rows - 1, rows, rows, min(2, rows), rows)
+        numpy_drawn = 0
+        for block, size in enumerate(sizes):
+            fresh = draw(n, t, SeededStream(block, n).generator(), size)
+            rng = _CountingGenerator(SeededStream(block, n).generator().bit_generator)
+            assert (draw(n, t, rng, size, buffers) == fresh).all()
+            numpy_drawn += rng.calls
+        if n == 200_000:
+            assert 0 < numpy_drawn < len(sizes)
+
+
+def test_buffers_refuse_a_block_they_do_not_fit():
+    buffers = DrawBuffers(10, 20, 3)
+    for draw in (mb_counts, be_counts):
+        for n, t, rows in ((11, 20, 1), (10, 19, 1), (10, 20, 4)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                draw(n, t, SeededStream(1).generator(), rows, buffers)

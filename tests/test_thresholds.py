@@ -1,15 +1,20 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coverpebbling as cp
 from coverpebbling import thresholds
-from coverpebbling.sampling import MAX_BOUND, RandomModel
+from coverpebbling.sampling import MAX_BOUND, RandomModel, SeededStream
 from coverpebbling.thresholds import CSV_HEADER, SweepRecord, ThresholdCurve, _block_rows
+from conftest import urn_counts
 
 # two-sided probability that a normal deviate lies beyond 4 sigma
 FOUR_SIGMA_ALPHA = math.erfc(4 / math.sqrt(2))
@@ -137,6 +142,94 @@ def test_sweep_worker_count_does_not_change_output():
             assert len(csvs) == 1
 
 
+def _reference_solvable(model, n, t, trials, seed):
+    """Solvable trials of one sweep point, block by block from `rng.integers`."""
+    rows, solvable = _block_rows(n, t), 0
+    for block in range(-(-trials // rows)):
+        rng = SeededStream(seed, t * 2**32 + block).generator()
+        size = min(rows, trials - block * rows)
+        if model is RandomModel.MAXWELL_BOLTZMANN:
+            counts = [np.bincount(row, minlength=n) for row in rng.integers(0, n, (size, t))]
+        else:
+            picks = rng.integers(0, n + np.arange(t), (size, t))
+            counts = [urn_counts(n, row) for row in picks.tolist()]
+        solvable += sum(int((c & 1).sum()) + t >= 2 * n for c in counts)
+    return solvable
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts the blocks numpy draws (its `integers` calls)."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+class _CountingStream(SeededStream):
+    def generator(self):
+        return _CountingGenerator(super().generator().bit_generator)
+
+
+@pytest.mark.parametrize("model", list(RandomModel))
+def test_reused_buffers_keep_every_point_exact(model, monkeypatch):
+    # n = 3 * 10^4: one trial per block, and a third to a half of the blocks
+    # are drawn by numpy between blocks computed from raw words; n = 1000: a
+    # trial count that leaves the last block short
+    monkeypatch.setattr(thresholds, "SeededStream", _CountingStream)
+    for n, ts, trials in ((30_000, (44_000, 47_000), 24), (1000, (1500, 1600, 1700), 203)):
+        _CountingGenerator.calls = 0
+        curve = cp.sweep(model, n, ts[0], ts[-1], ts[1] - ts[0], trials, seed=41)
+        if n == 30_000:
+            assert 0.2 * len(ts) * trials < _CountingGenerator.calls < 0.7 * len(ts) * trials
+        assert [r.solvable_count for r in curve.records] == [
+            _reference_solvable(model, n, t, trials, 41) for t in ts]
+        for workers in (2, 3):
+            assert cp.sweep(model, n, ts[0], ts[-1], ts[1] - ts[0], trials, 41, workers) == curve
+
+
+def test_a_sweep_draws_each_block_with_one_kernel_call(monkeypatch):
+    # perfbench counts blocks by wrapping these two names in thresholds
+    calls = []
+
+    def counted(name, kernel):
+        def draw(*args, **kwargs):
+            calls.append((name, args[1]))
+            return kernel(*args, **kwargs)
+        return draw
+
+    for name in ("mb_counts", "be_counts"):
+        monkeypatch.setattr(thresholds, name, counted(name, getattr(thresholds, name)))
+    for model, name in ((RandomModel.MAXWELL_BOLTZMANN, "mb_counts"),
+                        (RandomModel.BOSE_EINSTEIN, "be_counts")):
+        calls.clear()
+        cp.sweep(model, 300, 150, 400, 50, 1001, seed=3)
+        assert calls == [(name, t) for t in range(150, 401, 50)
+                         for _ in range(-(-1001 // _block_rows(300, t)))]
+
+
+def test_a_be_point_takes_few_page_faults():
+    # the draw arrays are allocated once per point: about 210 minor faults for
+    # a point of 17 blocks at n = 1000, where arrays made per block took about
+    # 1,150; run in a new interpreter, so the heap that earlier tests left
+    # does not decide the count
+    pytest.importorskip("resource")
+    script = (
+        "import resource, coverpebbling as cp\n"
+        "def point():\n"
+        "    cp.sweep(cp.RandomModel.BOSE_EINSTEIN, 1000, 1600, 1600, 1, 200, 1717)\n"
+        "point()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "point()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 300
+
+
 def test_sweep_caps_its_processes_at_the_cpu_count(monkeypatch):
     started = []
 
@@ -181,6 +274,19 @@ def test_sweep_validation():
         for workers in (0, -3):
             with pytest.raises(ValueError, match="worker"):
                 cp.sweep(model, 5, 5, 5, 1, 3, seed=1, workers=workers)
+
+
+def test_sweep_arguments_must_be_integers(monkeypatch):
+    # each one is refused by name before any block is drawn; integer types
+    # other than int are accepted
+    monkeypatch.setattr(thresholds, "_count_solvable", lambda task: 0)
+    args = dict(n=10, t_min=5, t_max=9, step=2, trials=3, seed=1, workers=1)
+    for name in args:
+        for bad in (float(args[name]) + 0.5, float(args[name]), "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                cp.sweep(RandomModel.BOSE_EINSTEIN, **{**args, name: bad})
+    curve = cp.sweep(RandomModel.BOSE_EINSTEIN, **{k: np.int32(v) for k, v in args.items()})
+    assert [type(v) for v in (curve.records[0].n, curve.records[0].seed)] == [int, int]
 
 
 @pytest.mark.parametrize("model, t_min, t_max, digest", [
