@@ -35,6 +35,8 @@ FP_SEARCH = "search"
 
 _FP_PRECEDENCE = (FP_ALL_COVERED, FP_TRIVIAL_DEFICIT, FP_COMPLETE_GRAPH, FP_STACKING, FP_SEARCH)
 
+_CUT = ()  # what _search's child generator yields for a child the surplus test cuts
+
 
 @dataclass(frozen=True)
 class OddStackSummary:
@@ -385,8 +387,9 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     non-negative, so no cover lies below a node with some S(e) < 0.  An
     empty vertex e is unfired, so S(e) >= 0 implies that e is within reach
     of the live pebble mass.  A child that fails the test is counted as a
-    node but not expanded.  When stopping a alone makes S negative, no new
-    source is started; the root stops no source and keeps its children.
+    node but not expanded, and its configuration is never built: it cannot
+    be a cover.  When stopping a alone makes S negative, no new source is
+    started; the root stops no source and keeps its children.
 
     A node's children are tried in ascending order of the key (target holds
     pebbles, starts a new source, -rank, source, target): moves into empty
@@ -406,10 +409,27 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     than the budget.
 
     `pot` (2^(diam - dist), Python ints) and the root's surplus list come
-    from _screen.  A node's surplus list holds S(e) at every vertex e,
-    exact ints as well.  The depth-first search runs as a loop over an
-    explicit stack holding one child generator per node on the current
-    path, so it needs no recursion.
+    from _screen.  Below the root a node holds its whole surplus vector as
+    one int: field e, `size` bytes wide, holds S(e) + half, where
+    half = 2^(8 size - 1) > t 2^diam.  No field leaves 0 .. 2 half - 1.
+    From above, S never rises above its root value, which is at most the
+    root's weighted mass sum_v C(v) pot[v][e] <= t 2^diam.  From below, a
+    field is only ever tested after one step from a node that passed the
+    test: a move lowers it by at most 2^(diam + 1) and a stop by at most
+    (t - 1) 2^diam, so it stays above -t 2^diam.  So S(e) >= 0 exactly when
+    the field's top bit is set, and a child's whole test is one add of the
+    arc's step row(b) - 2 row(a) and one mask with `guard`, the top bits of
+    every field; a stop subtracts (C(a) - 1) row(a).  A row, pot[v] packed
+    the same way, and an arc's step are packed the first time the search
+    uses them, each in time linear in its bytes, so a search on a long path
+    that tries two arcs packs three rows, not n.  The memo key is one int as
+    well: the fired set and the move into the state in its low bits, and
+    above them each count's change from the root, in fields of
+    t.bit_length() + 1 bits that hold -t .. t, so a child's key is its
+    parent's count fields plus one cached step per arc.  All of it is exact
+    integer arithmetic, whatever the diameter or the pebble count.  The
+    depth-first search runs as a loop over an explicit stack holding one
+    child generator per node on the current path, so it needs no recursion.
     """
     n = g.vertex_count
     adjacency = g.adjacency
@@ -422,14 +442,37 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
         if nodes > budget:
             return UNDECIDED, None, budget + 1
         return UNSOLVABLE, None, nodes
-    key_of = bytes if c.total < 256 else tuple
+    size = (c.total * pot[0][0]).bit_length() // 8 + 1  # pot[0][0] = 2^diam
+    half = 1 << 8 * size - 1
+
+    def pack(values):
+        return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in values]), "little")
+
+    guard = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    rows = [None] * n  # row(v) = pot[v] packed, on first use
+    # key layout from bit 0: the fired set, the move's target and source, then
+    # each count's change from the root, which lies in -t .. t; as signed
+    # digits of `width` bits, distinct changes still make distinct ints
+    width, low = c.total.bit_length() + 1, n + 2 * n.bit_length()
+    steps = {}  # (u, b) -> (count step, key step, surplus step), on first use
     visited = set()
 
-    def children(carr, fired, t, surplus, move):
-        """Unvisited children in key order, each with its surplus list.
+    def row(v):
+        if rows[v] is None:
+            rows[v] = pack(pot[v])
+        return rows[v]
 
-        `move` is the move into the node, None at the root.  The list is
-        None when the surplus test refutes the child.
+    def step(u, b):
+        change = (1 << low + width * b) - (2 << low + width * u)
+        move = (u << n.bit_length() | b) << n
+        steps[u, b] = out = change, change + move, row(b) - 2 * row(u)
+        return out
+
+    def children(carr, fired, t, surplus, counts, move):
+        """Unvisited children in key order; a cut child is yielded as _CUT.
+
+        `move` is the move into the node, None at the root, and `counts` its
+        key's count fields.
         """
         if t == n:
             return
@@ -440,8 +483,8 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
             if carr[a] >= 3:
                 ordered += [(carr[b] > 0, False, 0, a, b, surplus, fired) for b in adjacency[a]
                             if b >= last and not fired >> b & 1]
-            stopped = [s - (carr[a] - 1) * x for s, x in zip(surplus, pot[a])]
-        if min(stopped) >= 0:  # else every new source's first move would be cut
+            stopped = surplus - (carr[a] - 1) * (rows[a] or row(a))
+        if stopped & guard == guard:  # else every new source's first move would be cut
             for u in range(n):
                 cu = carr[u]
                 if cu < 3 or fired >> u & 1:
@@ -452,24 +495,23 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
                 ordered += [(carr[b] > 0, True, -rank, u, b, stopped, fired_u) for b in targets]
         ordered.sort()
         for _, _, _, u, b, before, fired2 in ordered:
-            child = list(carr)
-            child[u] -= 2
-            child[b] += 1
-            key = (key_of(child), fired2, u, b)
+            dcounts, dkey, dsurplus = steps.get((u, b)) or step(u, b)
+            key = counts + dkey + fired2
             if key in visited:
                 continue
             visited.add(key)
-            s2 = []
-            for s, gain, loss in zip(before, pot[b], pot[u]):
-                s += gain - 2 * loss
-                if s < 0:
-                    s2 = None
-                    break
-                s2.append(s)
-            yield (u, b), child, fired2, t - 1, s2
+            s2 = before + dsurplus
+            if s2 & guard != guard:
+                yield _CUT
+                continue
+            child = list(carr)
+            child[u] -= 2
+            child[b] += 1
+            yield (u, b), child, fired2, t - 1, s2, counts + dcounts
 
     # one (move into the node, generator of its children) frame per node on the path
-    stack = [(None, children(list(c.pebbles), 0, c.total, surplus, None))]
+    stack = [(None, children(list(c.pebbles), 0, c.total, pack(s + half for s in surplus),
+                             0, None))]
     while stack:
         node = next(stack[-1][1], None)
         if node is None:
@@ -478,9 +520,10 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
         nodes += 1
         if nodes > budget:
             return UNDECIDED, None, nodes
-        move, carr, fired, t, surplus = node
+        if node is _CUT:
+            continue
+        move, carr, fired, t, surplus, counts = node
         if 0 not in carr:
             return SOLVABLE, Counter([m for m, _ in stack[1:]] + [move]), nodes
-        if surplus is not None:
-            stack.append((move, children(carr, fired, t, surplus, move)))
+        stack.append((move, children(carr, fired, t, surplus, counts, move)))
     return UNSOLVABLE, None, nodes

@@ -48,6 +48,18 @@ def descending_part_vectors(max_total: int):
     yield from extend([], max_total, max_total)
 
 
+# the exact-cover instances of the paper's figure (coverable) and of the
+# acceptance criteria (no exact cover)
+FIGURE_SETS = [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]]
+NO_COVER_SETS = [[0, 1, 2, 3], [3, 4, 5, 6], [0, 5, 6, 7]]
+
+
+def thinned_gadget_configuration(built) -> cp.Configuration:
+    """The gadget's configuration with 6 pebbles, not 9, on every subset vertex."""
+    return cp.Configuration(6 if name[0] == "B" and name[1:].isdigit() else built.config[v]
+                            for v, name in sorted(built.labels.items()))
+
+
 def coverable_instance(rng: random.Random, span: int) -> cp.X4CInstance:
     """Ground set of 8 with a planted exact cover and `span` further random 4-sets."""
     perm = list(range(8))

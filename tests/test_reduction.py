@@ -3,10 +3,12 @@ import random
 import pytest
 
 import coverpebbling as cp
-from conftest import coverable_instance
-
-FIGURE_SETS = [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]]
-NO_COVER_SETS = [[0, 1, 2, 3], [3, 4, 5, 6], [0, 5, 6, 7]]
+from conftest import (
+    FIGURE_SETS,
+    NO_COVER_SETS,
+    coverable_instance,
+    thinned_gadget_configuration,
+)
 
 
 def test_validate_instance():
@@ -144,9 +146,7 @@ def test_search_order_invariants():
     # a refutation visits every reachable, unpruned state once, so its node
     # count does not depend on the order children are tried in
     built = cp.build_reduction(cp.X4CInstance(8, NO_COVER_SETS))
-    thinned = [6 if name[0] == "B" and name[1:].isdigit() else built.config[v]
-               for v, name in sorted(built.labels.items())]
-    r = cp.solve(built.graph, cp.Configuration(thinned))
+    r = cp.solve(built.graph, thinned_gadget_configuration(built))
     assert (r.status, r.nodes_expanded) == (cp.UNSOLVABLE, 85)
     # trying moves into empty vertices first, from the sources that can cover
     # the most of them, finds the figure cover in 21 nodes; tried in

@@ -151,14 +151,17 @@ def test_sweep_blocks_mostly_take_the_raw_word_path(draw, t):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
 def test_block_counts_match_the_per_row_reference(n):
+    # each block is drawn with its own buffers and through one set three rows
+    # longer, whose row offsets both kernels share, each with its own stride
     for t, rows in ((0, 3), (1, 1), (7, 13), (1600, 5)):
         stream = SeededStream(n, t)
-        picks = stream.generator().integers(0, n, (rows, t))
-        assert mb_counts(n, t, stream.generator(), rows).tolist() == [
-            np.bincount(row, minlength=n).tolist() for row in picks]
-        picks = stream.generator().integers(0, n + np.arange(t), (rows, t))
-        assert be_counts(n, t, stream.generator(), rows).tolist() == [
-            urn_counts(n, row).tolist() for row in picks.tolist()]
+        mb_picks = stream.generator().integers(0, n, (rows, t))
+        be_picks = stream.generator().integers(0, n + np.arange(t), (rows, t))
+        for buffers in (None, DrawBuffers(n, t, rows + 3)):
+            assert mb_counts(n, t, stream.generator(), rows, buffers).tolist() == [
+                np.bincount(row, minlength=n).tolist() for row in mb_picks]
+            assert be_counts(n, t, stream.generator(), rows, buffers).tolist() == [
+                urn_counts(n, row).tolist() for row in be_picks.tolist()]
 
 
 @pytest.mark.parametrize("t", [0, 1, 5, 1600, 2500])

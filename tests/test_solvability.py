@@ -1,7 +1,9 @@
+import hashlib
 import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +18,13 @@ from coverpebbling.solvability import (
     _screen,
 )
 from conftest import (
+    FIGURE_SETS,
+    NO_COVER_SETS,
     compositions,
     coverable_instance,
     random_configuration,
     random_connected_graph,
+    thinned_gadget_configuration,
 )
 
 
@@ -410,6 +415,48 @@ def test_solve_refutations_match_bruteforce():
     assert searched_refutations >= 200
 
 
+# sha256 of every outcome below, computed before the search kept its surplus
+# vectors and memo keys as packed ints; a change to how the search represents
+# its states must leave it node-for-node the same
+OUTCOME_DIGEST = "e67a62499eaea2c662817344868fbf1aeff2730acb9df2db80e6d4fd1682c160"
+
+
+def test_search_outcomes_are_pinned_by_digest():
+    # 1,600 random connected graphs and trees of 3-12 vertices with pebbles
+    # piled on one to three vertices, then the figure gadget and the thinned
+    # figure and no-cover gadgets, each at budgets 0, 1, 3 and the default
+    rng = random.Random(24)
+    instances = []
+    while len(instances) < 1600:
+        if len(instances) % 2:
+            g = cp.random_tree(rng.randint(3, 12), rng.getrandbits(32))
+        else:
+            g = random_connected_graph(rng, max_vertices=12)
+        n = g.vertex_count
+        if n < 3:
+            continue
+        counts = [0] * n
+        piles = rng.sample(range(n), rng.randint(1, 3))
+        for _ in range(rng.randint(n, 2 * n + 4)):
+            counts[rng.choice(piles)] += 1
+        instances.append((g, cp.Configuration(counts)))
+    for sets in (FIGURE_SETS, NO_COVER_SETS):
+        built = cp.build_reduction(cp.X4CInstance(8, sets))
+        if sets is FIGURE_SETS:
+            instances.append((built.graph, built.config))
+        instances.append((built.graph, thinned_gadget_configuration(built)))
+    digest = hashlib.sha256()
+    searched = 0
+    for g, c in instances:
+        for budget in (0, 1, 3, cp.DEFAULT_NODE_BUDGET):
+            r = cp.solve(g, c, budget)
+            moves = sorted(r.certificate.moves.items()) if r.certificate else None
+            digest.update(repr((r.status, r.nodes_expanded, r.fast_path, moves)).encode())
+            searched += r.nodes_expanded > 1
+    assert searched > 1500
+    assert digest.hexdigest() == OUTCOME_DIGEST
+
+
 def test_surplus_never_rises_under_a_firing():
     # S(e) = sum over unfired v of (C(v) - 1) 2^(diam - d(v, e)); firing u
     # (k <= (C(u) - 1) // 2 moves to unfired neighbours, then u counts as
@@ -506,6 +553,131 @@ def _reaches(g, c):
     diam = max(map(max, d))
     return all(sum(c[v] << (diam - d[v][e]) for v in range(g.vertex_count)) >= 1 << diam
                for e in range(g.vertex_count) if c[e] == 0)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _formula_search(g, c, budget):
+    """The search as _search's docstring states it, with every S from _surplus.
+
+    For a root that passes the surplus test.  Returns (status, nodes,
+    certificate moves) and two tallies: expanded nodes with children where
+    some S(e) is exactly 0, and cut children whose least S(e) is exactly -1.
+    """
+    n = g.vertex_count
+    seen = set()
+    nodes, zero, minus_one = 1, 0, 0
+
+    def surplus(state, fired, active):
+        return _surplus(g, state, [v for v in range(n) if not fired >> v & 1 or v == active])
+
+    def children(state, fired, move):
+        t = sum(state)
+        if t == n:
+            return []
+        out = []
+        if move is not None:
+            a, last = move
+            if state[a] >= 3:
+                out += [(state[b] > 0, False, 0, a, b, fired) for b in g.adjacency[a]
+                        if b >= last and not fired >> b & 1]
+        if min(surplus(state, fired, None)) >= 0:  # a stopped, or the root
+            for u in range(n):
+                if state[u] >= 3 and not fired >> u & 1:
+                    targets = [b for b in g.adjacency[u] if not fired >> b & 1]
+                    rank = min((state[u] - 1) // 2, t - n, sum(not state[b] for b in targets))
+                    out += [(state[b] > 0, True, -rank, u, b, fired | 1 << u) for b in targets]
+        return sorted(out)
+
+    def visit(state, fired, move, path):
+        nonlocal nodes, zero, minus_one
+        for *_, u, b, fired2 in children(state, fired, move):
+            child = list(state)
+            child[u] -= 2
+            child[b] += 1
+            if (tuple(child), fired2, u, b) in seen:
+                continue
+            seen.add((tuple(child), fired2, u, b))
+            nodes += 1
+            if nodes > budget:
+                raise _Stop(cp.UNDECIDED, None)
+            s = surplus(child, fired2, u)
+            if min(s) < 0:
+                minus_one += min(s) == -1
+                continue
+            if min(child) >= 1:
+                raise _Stop(cp.SOLVABLE, Counter(path + [(u, b)]))
+            zero += 0 in s and bool(children(child, fired2, (u, b)))
+            visit(child, fired2, (u, b), path + [(u, b)])
+
+    try:  # every budget used here is at least 1, which the root fits
+        visit(list(c.pebbles), 0, None, [])
+        outcome = cp.UNSOLVABLE, None
+    except _Stop as stop:
+        outcome = stop.args
+    return (outcome[0], nodes, outcome[1]), zero, minus_one
+
+
+def _searched_outcome(g, c, budget):
+    r = cp.solve(g, c, budget)
+    assert r.fast_path in (FP_SEARCH, FP_STACKING)
+    return r.status, r.nodes_expanded, r.certificate.moves if r.certificate else None
+
+
+def test_search_matches_the_formula_search_at_the_sign_boundary():
+    # the search tests S(e) >= 0 off one packed int's field top bits; the
+    # formula search recomputes every S, and the instances reach nodes with
+    # some S(e) exactly 0, which must be expanded, and children whose least
+    # S(e) is exactly -1, which must be cut
+    rng = random.Random(26)
+    checked = zero = minus_one = 0
+    while checked < 400:
+        g = random_connected_graph(rng, max_vertices=8)
+        n = g.vertex_count
+        if n < 3 or g.edge_count == n * (n - 1) // 2:
+            continue
+        counts = [0] * n
+        piles = rng.sample(range(n), rng.randint(1, 3))
+        for _ in range(rng.randint(n, 2 * n + 2)):
+            counts[rng.choice(piles)] += 1
+        c = cp.Configuration(counts)
+        if min(counts) >= 1 or not _reaches(g, c) or min(_surplus(g, counts, range(n))) < 0:
+            continue
+        for budget in (3, cp.DEFAULT_NODE_BUDGET):
+            expected, zeros, minus_ones = _formula_search(g, c, budget)
+            assert _searched_outcome(g, c, budget) == expected, (g, counts, budget)
+        zero += zeros
+        minus_one += minus_ones
+        checked += 1
+    assert zero > 500 and minus_one > 400
+
+
+def test_search_matches_the_formula_search_beyond_two_to_the_64():
+    # P_64 to P_90: potentials up to 2^89 and a pile above 2^64, so every
+    # field of the packed surplus is wider than a machine word; ones
+    # elsewhere except a few empty vertices, so the root passes the surplus
+    # test, and a small budget ends the searches that would run long
+    rng = random.Random(27)
+    solved = stopped = 0
+    for n in (64, 65, 70, 80, 90):
+        g = cp.path_graph(n)
+        for _ in range(8):
+            counts = [1] * n
+            pile = rng.randrange(n)
+            counts[pile] = rng.randint(2**64 + 1, 2**70)
+            empty, other = rng.sample([v for v in range(n) if 0 < abs(v - pile) <= 3], 2)
+            counts[empty], counts[other] = 0, rng.choice((0, 3))
+            c = cp.Configuration(counts)
+            assert c.total > 2**64 and _reaches(g, c)
+            assert max(_surplus(g, counts, range(n))) >= 2**64
+            for budget in (1, 3, 40):
+                expected, _, _ = _formula_search(g, c, budget)
+                assert _searched_outcome(g, c, budget) == expected, (n, counts, budget)
+                solved += expected[0] == cp.SOLVABLE and expected[1] > 1
+                stopped += expected[0] == cp.UNDECIDED and budget == 40
+    assert solved > 20 and stopped > 5
 
 
 def _negative_surplus_instances(rng, count):
