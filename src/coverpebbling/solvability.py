@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .graphs import Configuration, Graph, check_pairing
-from .stacking import stacking_weights
+from .stacking import power_sums, stacking_weights
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -100,9 +100,14 @@ def certificate_to_dict(m: MoveCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> MoveCertificate:
+    """Read {"moves": [[i, j, count], ...]}; a pair listed twice is rejected, not merged."""
     try:
-        triples = d["moves"]
-        return MoveCertificate({(i, j): c for i, j, c in triples})
+        moves = {}
+        for i, j, count in d["moves"]:
+            if (i, j) in moves:
+                raise ValueError(f"move ({i},{j}) is listed twice")
+            moves[i, j] = count
+        return MoveCertificate(moves)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"certificate JSON needs a 'moves' list of [i,j,count]: {exc}") from exc
 
@@ -306,8 +311,8 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
         if isinstance(outcome, SolveResult):
             tag, moves = outcome.fast_path, outcome.certificate.moves
         else:
-            tag, pot, surplus = outcome
-            status, moves, used = _search(sub, sub_conf, budget - nodes, pot, surplus)
+            tag, diam, surplus = outcome
+            status, moves, used = _search(sub, sub_conf, budget - nodes, diam, surplus)
             nodes += used
             if tag == FP_STACKING and status == UNSOLVABLE:
                 raise AssertionError("search contradicted the stacking-number guarantee")
@@ -322,11 +327,13 @@ def _screen(g: Graph, c: Configuration):
     """The cheap tests on one connected component.
 
     Returns the SolveResult when they decide it, else the fast-path tag,
-    the potentials pot[u][v] = 2^(diam - d(u, v)) and the root surplus
-    S(e) = sum_v (C(v) - 1) pot[v][e] that _search starts from.  The reach
-    test and S read one weighted-mass vector mass[e] = sum_v C(v) pot[v][e]:
-    an empty e is out of reach when mass[e] < 2^diam, and
-    S(e) = mass[e] - sum_v pot[v][e].
+    the diameter and the root surplus
+    S(e) = sum_v (C(v) - 1) 2^(diam - d(v, e)) that _search starts from.  The
+    reach test and S read one weighted-mass vector
+    mass[e] = sum_v C(v) 2^(diam - d(v, e)), built from the distance rows of
+    the non-empty v: an empty e is out of reach when mass[e] < 2^diam, and
+    S(e) = mass[e] - sum_v 2^(diam - d(v, e)), whose last sums the stacking
+    kernel `power_sums` gives for every e at once.
     """
     n = g.vertex_count
     t = c.total
@@ -339,19 +346,18 @@ def _screen(g: Graph, c: Configuration):
             return SolveResult(SOLVABLE, _complete_graph_certificate(c), 0, FP_COMPLETE_GRAPH)
         return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
     # reject when some empty vertex is out of reach even of fractional pebble mass;
-    # pot[u][v] = 2^(diam - d(u,v)) makes "weight >= 1" an exact int test against 2^diam
-    dist = g.distances.tolist()
-    diam = max(map(max, dist))
-    pot = [[1 << (diam - d) for d in row] for row in dist]
-    mass = [0] * n  # summed over the non-empty v only
-    for p, row in zip(c.pebbles, pot):
+    # weighing C(v) by 2^(diam - d(v, e)) makes "weight >= 1" an exact int test against 2^diam
+    dist = g.distances
+    diam = int(dist.max())
+    mass = [0] * n
+    for v, p in enumerate(c.pebbles):
         if p:
-            mass = [m + p * x for m, x in zip(mass, row)]
+            mass = [m + (p << diam - d) for m, d in zip(mass, dist[v].tolist())]
     if any(m < 1 << diam for m, x in zip(mass, c.pebbles) if x == 0):
         return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
-    surplus = list(map(operator.sub, mass, map(sum, pot)))  # pot is symmetric
+    surplus = list(map(operator.sub, mass, power_sums(diam - dist)))  # dist is symmetric
     guaranteed = min(surplus) >= 0 and t >= max(stacking_weights(g))  # a refuted root has t < λ
-    return FP_STACKING if guaranteed else FP_SEARCH, pot, surplus
+    return FP_STACKING if guaranteed else FP_SEARCH, diam, surplus
 
 
 def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
@@ -364,7 +370,7 @@ def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
     return MoveCertificate(Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p))
 
 
-def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
+def _search(g: Graph, c: Configuration, budget: int, diam: int, surplus):
     """Exhaustive search over canonical executions of acyclic move certificates.
 
     Any solving set of moves can be thinned to one whose directed support is
@@ -381,9 +387,10 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     each multiset of moves out of it is tried as exactly one sequence.
 
     The one cut is the exact surplus test.  Let S(e) = sum over unfired or
-    active v of (C(v) - 1) pot[v][e].  A move a -> b changes S(e) by
-    pot[b][e] - 2 pot[a][e] <= 0, because b is a neighbour of a; stopping a
-    changes it by -(C(a) - 1) pot[a][e] <= 0.  At a cover every term is
+    active v of (C(v) - 1) 2^(diam - d(v, e)).  A move a -> b changes S(e)
+    by 2^(diam - d(b, e)) - 2 2^(diam - d(a, e)) <= 0, because b is a
+    neighbour of a; stopping a changes it by
+    -(C(a) - 1) 2^(diam - d(a, e)) <= 0.  At a cover every term is
     non-negative, so no cover lies below a node with some S(e) < 0.  An
     empty vertex e is unfired, so S(e) >= 0 implies that e is within reach
     of the live pebble mass.  A child that fails the test is counted as a
@@ -408,28 +415,29 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
     vertices' degrees nodes, or UNDECIDED at budget + 1 if that is more
     than the budget.
 
-    `pot` (2^(diam - dist), Python ints) and the root's surplus list come
-    from _screen.  Below the root a node holds its whole surplus vector as
-    one int: field e, `size` bytes wide, holds S(e) + half, where
-    half = 2^(8 size - 1) > t 2^diam.  No field leaves 0 .. 2 half - 1.
-    From above, S never rises above its root value, which is at most the
-    root's weighted mass sum_v C(v) pot[v][e] <= t 2^diam.  From below, a
-    field is only ever tested after one step from a node that passed the
-    test: a move lowers it by at most 2^(diam + 1) and a stop by at most
-    (t - 1) 2^diam, so it stays above -t 2^diam.  So S(e) >= 0 exactly when
-    the field's top bit is set, and a child's whole test is one add of the
-    arc's step row(b) - 2 row(a) and one mask with `guard`, the top bits of
-    every field; a stop subtracts (C(a) - 1) row(a).  A row, pot[v] packed
-    the same way, and an arc's step are packed the first time the search
-    uses them, each in time linear in its bytes, so a search on a long path
-    that tries two arcs packs three rows, not n.  The memo key is one int as
-    well: the fired set and the move into the state in its low bits, and
-    above them each count's change from the root, in fields of
-    t.bit_length() + 1 bits that hold -t .. t, so a child's key is its
-    parent's count fields plus one cached step per arc.  All of it is exact
-    integer arithmetic, whatever the diameter or the pebble count.  The
-    depth-first search runs as a loop over an explicit stack holding one
-    child generator per node on the current path, so it needs no recursion.
+    The diameter and the root's surplus list come from _screen.  Below the
+    root a node holds its whole surplus vector as one int: field e, `size`
+    bytes wide, holds S(e) + half, where half = 2^(8 size - 1) > t 2^diam.
+    No field leaves 0 .. 2 half - 1.  From above, S never rises above its
+    root value, which is at most the root's weighted mass
+    sum_v C(v) 2^(diam - d(v, e)) <= t 2^diam.  From below, a field is only
+    ever tested after one step from a node that passed the test: a move
+    lowers it by at most 2^(diam + 1) and a stop by at most (t - 1) 2^diam,
+    so it stays above -t 2^diam.  So S(e) >= 0 exactly when the field's top
+    bit is set, and a child's whole test is one add of the arc's step
+    row(b) - 2 row(a) and one mask with `guard`, the top bits of every
+    field; a stop subtracts (C(a) - 1) row(a).  A row, the potentials
+    2^(diam - d(v, e)) of one v packed the same way from v's distance row,
+    and an arc's step are packed the first time the search uses them, each
+    in time linear in its bytes, so a search on a long path that tries two
+    arcs packs three rows, not n.  The memo key is one int as well: the
+    fired set and the move into the state in its low bits, and above them
+    each count's change from the root, in fields of t.bit_length() + 1 bits
+    that hold -t .. t, so a child's key is its parent's count fields plus
+    one cached step per arc.  All of it is exact integer arithmetic,
+    whatever the diameter or the pebble count.  The depth-first search runs
+    as a loop over an explicit stack holding one child generator per node
+    on the current path, so it needs no recursion.
     """
     n = g.vertex_count
     adjacency = g.adjacency
@@ -442,14 +450,15 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
         if nodes > budget:
             return UNDECIDED, None, budget + 1
         return UNSOLVABLE, None, nodes
-    size = (c.total * pot[0][0]).bit_length() // 8 + 1  # pot[0][0] = 2^diam
+    size = (c.total << diam).bit_length() // 8 + 1
     half = 1 << 8 * size - 1
 
     def pack(values):
         return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in values]), "little")
 
     guard = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-    rows = [None] * n  # row(v) = pot[v] packed, on first use
+    dist = g.distances
+    rows = [None] * n  # row(v) = the potentials 2^(diam - d(v, e)) packed, on first use
     # key layout from bit 0: the fired set, the move's target and source, then
     # each count's change from the root, which lies in -t .. t; as signed
     # digits of `width` bits, distinct changes still make distinct ints
@@ -459,7 +468,7 @@ def _search(g: Graph, c: Configuration, budget: int, pot, surplus):
 
     def row(v):
         if rows[v] is None:
-            rows[v] = pack(pot[v])
+            rows[v] = pack([1 << diam - d for d in dist[v].tolist()])
         return rows[v]
 
     def step(u, b):

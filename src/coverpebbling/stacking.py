@@ -4,12 +4,12 @@ The cover pebbling number of a connected graph equals the largest stacking
 weight max_v sum_u 2^dist(u,v): the worst initial distribution is the whole
 pile stacked on the vertex attaining the maximum.
 
-`stacking_weights` computes every vertex's weight exactly with O(diam / bits)
-big-int operations per vertex instead of O(n): it counts each row's terms by
-distance and sums each run of `bits = 62 - n.bit_length()` consecutive
-distances in int64, where a run's sum stays below n 2^bits < 2^62, before the
-run sums are shifted into place as Python ints.  No weight passes through a
-float.
+One kernel, `power_sums(x)`, gives sum_u 2^x[v, u] exactly for every row of
+a square matrix from int64 sums over runs of `bits = 62 - n.bit_length()`
+exponents, with O(max x / bits) big-int operations per row instead of O(n).
+On the distance matrix it gives every stacking weight; on diam - dist it
+gives the solver's screen its sums sum_v 2^(diam - d(v, e)).  No sum passes
+through a float.
 """
 
 from __future__ import annotations
@@ -49,41 +49,47 @@ def stacking_weight(g: Graph, v: int) -> int:
     return sum(1 << d for d in g.distances[v].tolist())
 
 
-def stacking_weights(g: Graph) -> list:
-    """Every vertex's stacking weight sum_u 2^dist(u,v), as exact Python ints.
+def power_sums(x: np.ndarray) -> list:
+    """Exact sum_u 2^x[v, u] for every row v, as Python ints.
 
-    Row v's terms are grouped into runs of `bits` consecutive distances.  A
-    run holds at most n terms below 2^bits each, so its sum stays below
+    `x` must be a square int64 matrix whose entries lie in 0 .. n - 1, as
+    distances and diam - distances of a connected n-vertex graph do.  That
+    bound is what lets an n that fits in one run skip `x.max()`.  Row v's
+    terms are grouped into runs of `bits` consecutive exponents.  A run
+    holds at most n terms below 2^bits each, so its sum stays below
     n 2^bits < 2^(n.bit_length() + bits) = 2^62 and is exact in int64.  One
-    `np.bincount` histogram of (v, d) counts the terms, a product with the
+    `np.bincount` histogram of (v, x) counts the terms, a product with the
     powers 2^0 .. 2^(bits-1) sums each run, and the runs of a row are then
-    shifted together as Python ints: O(diam / bits) big-int steps per
-    vertex.  Beyond `g.distances` this holds two int64 arrays of about n^2
-    entries, the histogram and its index.  When the whole diameter fits in
-    one run, `(1 << dist).sum` is the same formula with no histogram; it is
-    also the faster choice on the 5-8 vertex graphs the solver screens,
-    about 3 us a graph against 5-7 us for the per-row Python sum over
-    `dist.tolist()`.
+    shifted together as Python ints: O(top / bits) big-int steps per row.
+    Beyond `x` this holds two int64 arrays of about n^2 entries, the
+    histogram and its index.  When the largest entry fits in one run,
+    `(1 << x).sum` is the same formula with no histogram; it is also the
+    faster choice on the 5-8 vertex graphs the solver screens, about 3 us a
+    graph against 5-7 us for the per-row Python sum over `x.tolist()`.
     """
-    _require_connected(g)
-    n = g.vertex_count
-    dist = g.distances
+    n = len(x)
     bits = 62 - n.bit_length()
-    diam = int(dist.max()) if n > bits else 0  # else diam < n <= bits anyway
-    if diam < bits:
-        return (1 << dist).sum(axis=1).tolist()
-    runs = -(-(diam + 1) // bits)
+    top = int(x.max()) if n > bits else 0  # else top < n <= bits anyway
+    if top < bits:
+        return (1 << x).sum(axis=1).tolist()
+    runs = -(-(top + 1) // bits)
     width = runs * bits
-    index = dist + np.arange(0, n * width, width, dtype=np.int64)[:, None]
+    index = x + np.arange(0, n * width, width, dtype=np.int64)[:, None]
     hist = np.bincount(index.ravel(), minlength=n * width).reshape(n, runs, bits)
     run_sums = (hist @ (np.int64(1) << np.arange(bits, dtype=np.int64))).tolist()
-    weights = []
+    sums = []
     for row in run_sums:
         w = 0
         for s in reversed(row):
             w = (w << bits) + s
-        weights.append(w)
-    return weights
+        sums.append(w)
+    return sums
+
+
+def stacking_weights(g: Graph) -> list:
+    """Every vertex's stacking weight sum_u 2^dist(u,v), as exact Python ints."""
+    _require_connected(g)
+    return power_sums(g.distances)
 
 
 def cover_pebbling_number(g: Graph) -> StackingResult:

@@ -74,6 +74,18 @@ def test_solve_exit_codes_and_certificate(p3, tmp_path, capsys):
                     "--certificate", tampered]) == 1
 
 
+def test_verify_rejects_a_repeated_move_pair(p3, tmp_path, capsys):
+    # read as {(0, 1): 0}, this certificate would be "invalid"; read as
+    # {(0, 1): 1}, "valid": neither reading is the file's, so it is an input error
+    config = _write(tmp_path / "c.json", {"pebbles": [3, 0, 1]})
+    certificate = _write(tmp_path / "m.json", {"moves": [[0, 1, 1], [0, 1, 0]]})
+    assert run_cli(["verify", "--graph", p3, "--config", config,
+                    "--certificate", certificate]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "move (0,1) is listed twice" in captured.err
+
+
 def test_solve_budget_exit_code(tmp_path, capsys):
     graph = _write(tmp_path / "p4.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
     config = _write(tmp_path / "c.json", {"pebbles": [15, 0, 0, 0]})

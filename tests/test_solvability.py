@@ -947,6 +947,25 @@ def test_budget_bounds_the_work():
     assert r.status == cp.UNSOLVABLE  # a stack needs 3^7 pebbles on Q_7
 
 
+def test_screen_holds_no_quadratic_list_of_potentials():
+    # the screen sums potentials from distance rows and the search packs only
+    # the rows it uses, so a 2-node search on a long path holds O(n^2) machine
+    # words at its peak (the stacking kernel's int64 arrays), not n^2 Python ints of
+    # up to n bits (about 8 MB at n = 300)
+    n = 300
+    g = cp.path_graph(n)
+    g.distances  # computed before tracing
+    c = cp.Configuration([1] * (n - 2) + [3, 0])
+    tracemalloc.start()
+    try:
+        r = cp.solve(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.nodes_expanded, r.fast_path) == (cp.SOLVABLE, 2, FP_SEARCH)
+    assert peak < 6 * 8 * n * n, peak  # six int64 n x n arrays, 4.3 MB
+
+
 @pytest.mark.parametrize("g, lam", [
     (cp.path_graph(64), 2**64 - 1),  # diameter above 60
     (cp.path_graph(200), 2**200 - 1),
@@ -1029,6 +1048,14 @@ def test_certificate_validation_and_json():
     assert cp.certificate_from_dict(d) == cert
     with pytest.raises(ValueError):
         cp.certificate_from_dict({"moves": [[1, 2]]})
+
+
+@pytest.mark.parametrize("moves", [[[0, 1, 3], [0, 1, 1]], [[0, 1, 1], [0, 1, 0]],
+                                   [[0, 1, 0], [1, 2, 1], [0, 1, 0]]])
+def test_certificate_json_rejects_a_repeated_pair(moves):
+    # a repeated (i, j) is neither summed nor overwritten by the last count
+    with pytest.raises(ValueError, match=r"move \(0,1\) is listed twice"):
+        cp.certificate_from_dict({"moves": moves})
 
 
 def test_certificate_total_moves_bound():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import coverpebbling as cp
-from conftest import descending_part_vectors, random_connected_graph
+from coverpebbling.stacking import power_sums
+from conftest import compositions, descending_part_vectors, random_connected_graph
 
 
 def test_stacking_weight_hand_values():
@@ -58,7 +60,7 @@ def test_lambda_lower_bound_random():
 
 
 def _kernel_cases():
-    """Graphs on both sides of every branch and run boundary of stacking_weights."""
+    """Graphs on both sides of every branch and run boundary of power_sums."""
     yield cp.complete_graph(1)
     # one run holds bits = 62 - n.bit_length() distances: 56 for n < 64, so
     # P_56 (diameter 55) is one run and P_57 is two
@@ -93,6 +95,21 @@ def test_weights_match_the_per_vertex_sum():
         weights = cp.cover_pebbling_number(g).per_vertex_weights
         assert weights == tuple(cp.stacking_weight(g, v) for v in range(g.vertex_count))
         assert all(type(w) is int for w in weights)
+        checked += 1
+    assert checked > 100
+
+
+def test_power_sums_of_potentials_match_the_per_row_sum():
+    # the solver's screen sums the potentials 2^(diam - d(v, e)) with the same
+    # kernel; there most terms sit near the top exponent, not near 0
+    checked = 0
+    for g in _kernel_cases():
+        dist = g.distances
+        diam = int(dist.max())
+        sums = power_sums(diam - dist)
+        assert sums == [sum(k << diam - d for d, k in Counter(row).items())
+                        for row in dist.tolist()]
+        assert all(type(s) is int for s in sums)
         checked += 1
     assert checked > 100
 
@@ -159,3 +176,37 @@ def test_stacked_pile_is_the_worst_case(make):
 
     stack[r.argmax_vertex] = r.cover_number - 1
     assert not cp.solve(g, cp.Configuration(stack)).solvable
+
+
+def _connected_labelled_graphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        g = cp.Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+        if g.is_connected():
+            yield g
+
+
+def test_cover_number_equals_lambda_from_the_definition_on_small_graphs():
+    # gamma(G) = lambda(G) on every connected labelled graph of 1-4 vertices:
+    # every configuration of lambda pebbles is solvable, with a certificate,
+    # and the pile of lambda - 1 on the argmax vertex is not
+    graphs = 0
+    configurations = 0
+    for n in range(1, 5):
+        found = list(_connected_labelled_graphs(n))
+        assert len(found) == (1, 1, 4, 38)[n - 1]
+        for g in found:
+            r = cp.cover_pebbling_number(g)
+            for pebbles in compositions(r.cover_number, n):
+                c = cp.Configuration(pebbles)
+                solved = cp.solve(g, c)
+                assert solved.status == cp.SOLVABLE, (g.edges, pebbles)
+                assert cp.verify_certificate(g, c, solved.certificate), (g.edges, pebbles)
+                configurations += 1
+            stack = [0] * n
+            stack[r.argmax_vertex] = r.cover_number - 1
+            c = cp.Configuration(stack)
+            assert cp.solve(g, c).status == cp.UNSOLVABLE, (g.edges, stack)
+            assert not cp.solve_bruteforce(g, c), (g.edges, stack)
+            graphs += 1
+    assert graphs == 44 and configurations > 10_000
