@@ -60,15 +60,25 @@ def _parts(text: str) -> list:
 
 
 def _load_json(path: str) -> dict:
-    """Read an input file; a JSON boolean anywhere in it is rejected.
+    """Read an input file; a JSON boolean or a repeated key anywhere in it is rejected.
 
     Python reads true and false as the integers 1 and 0, and no input
     format has a boolean field, so they are refused here, at the file
-    boundary, rather than in the Graph and Configuration constructors.
+    boundary, rather than in the Graph and Configuration constructors.  A
+    key listed twice in one object would keep only its last value, so the
+    file is refused rather than read as something it does not say.
     """
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path} lists the key {json.dumps(key)} twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as handle:
-            document = json.load(handle)
+            document = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

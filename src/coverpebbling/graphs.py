@@ -119,29 +119,27 @@ def _bfs_all_pairs(n: int, adjacency, depth: int) -> np.ndarray:
 def _components(n: int, adjacency) -> tuple[list[tuple[int, ...]], int]:
     """Components as sorted tuples ordered by smallest member, and the largest depth
     that a BFS from the smallest vertex of each component reaches."""
-    seen = [False] * n
-    comps = []
-    depth = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp, frontier, level = [s], [s], 0
-        while True:
-            reached = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        reached.append(w)
-            if not reached:
-                break
-            level += 1
-            comp += reached
-            frontier = reached
-        depth = max(depth, level)
-        comps.append(tuple(sorted(comp)))
-    return comps, depth
+    row = [UNREACHABLE] * n
+    # each BFS marks its component in `row`, so the next unmarked s starts the next one
+    found = [_bfs(adjacency, s, row) for s in range(n) if row[s] == UNREACHABLE]
+    return [tuple(sorted(comp)) for comp, _ in found], max((d for _, d in found), default=0)
+
+
+def _bfs(adjacency, s: int, row: list) -> tuple[list[int], int]:
+    """BFS from s over the vertices whose `row` entry is UNREACHABLE.
+
+    Writes each reached vertex's depth into `row` and returns the vertices
+    reached, in order of depth with s first, and the last depth.
+    """
+    row[s] = 0
+    reached = [s]
+    for u in reached:  # grows as the BFS reaches new vertices, level by level
+        depth = row[u] + 1
+        for w in adjacency[u]:
+            if row[w] == UNREACHABLE:
+                row[w] = depth
+                reached.append(w)
+    return reached, row[reached[-1]]
 
 
 def _bitset_bfs(n: int, adjacency) -> np.ndarray:
@@ -207,23 +205,10 @@ def _bitset_bfs(n: int, adjacency) -> np.ndarray:
 
 
 def _list_bfs(n: int, adjacency) -> np.ndarray:
-    """(n, n) int64 hop distances: one level-by-level BFS per source over lists."""
-    rows = []
-    for s in range(n):
-        row = [UNREACHABLE] * n
-        row[s] = 0
-        frontier = [s]
-        depth = 0
-        while frontier:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if row[w] == UNREACHABLE:
-                        row[w] = depth
-                        reached.append(w)
-            frontier = reached
-        rows.append(row)
+    """(n, n) int64 hop distances: one `_bfs` per source over lists."""
+    rows = [[UNREACHABLE] * n for _ in range(n)]
+    for s, row in enumerate(rows):
+        _bfs(adjacency, s, row)
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 

@@ -187,7 +187,7 @@ class DrawBuffers:
     def offsets(self, stride: int, rows: int) -> np.ndarray:
         """The (rows, t) int64 array whose row r holds r * stride, rebuilt for a new stride."""
         if self._offsets is None or self._offsets[0] != stride:
-            block = np.repeat(np.arange(0, self.rows * stride, stride), self.t)
+            block = np.repeat(np.arange(self.rows) * stride, self.t)
             self._offsets = stride, block.reshape(self.rows, self.t)
         return self._offsets[1][:rows]
 

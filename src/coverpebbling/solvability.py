@@ -5,8 +5,11 @@ A configuration is cover solvable when some sequence of pebbling moves
 least one pebble on every vertex simultaneously.  Solvability is certified
 by a matrix of per-edge move counts n_ij such that every vertex k ends with
 C(k) + sum_l n_lk - 2 sum_l n_kl >= 1; checking such a certificate is linear
-in the number of vertices and moves, and a certificate can always be
-replayed greedily into a legal move sequence.
+in the number of vertices and moves.  A checked certificate is replayed into
+a legal move sequence in passes over its moves in sorted order, each move
+fired as often as its source allows; no pass comes up empty, because a set
+of remaining sources holding at most one pebble each would end with fewer
+pebbles than vertices (see `execute_certificate`).
 """
 
 from __future__ import annotations
@@ -129,20 +132,17 @@ def verify_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> bool:
 def execute_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> list:
     """Schedule a verified certificate into a legal move sequence.
 
-    Greedy: repeatedly perform the first remaining move, in sorted (i, j)
-    order, whose source currently holds at least two pebbles.  For a
-    certificate that passes verify_certificate this never stalls; a stall
-    means the precondition was violated and raises.
-
-    The schedule is built a run at a time.  Firing the chosen move (i, j)
-    again only drains i and feeds j, so every earlier move stays blocked
-    except one out of j, which the one-move greedy would switch to as soon
-    as j holds two pebbles.  Each round therefore fires (i, j)
-    min(remaining, current[i] // 2) times, capped at 2 - current[j] when an
-    earlier remaining move leaves j, and yields exactly the one-move
-    greedy's sequence.  A round costs one scan of the distinct remaining
-    moves plus the length of its run.  A certificate with more moves than
-    a list can hold, or a move off the graph's edges, is rejected up front.
+    Passes over the remaining moves in sorted (i, j) order, firing each
+    min(remaining, current[i] // 2) times, until none remain; a pass that
+    fires nothing raises.  That never happens to a certificate that passes
+    verify_certificate.  Firing keeps every final count
+    C(k) + in(k) - 2 out(k) fixed, so if every source in the set S of
+    remaining sources held at most one pebble, with M >= 1 moves left, S
+    would end with at most |S| + M - 2M < |S| pebbles (the M moves all
+    leave S, and at most M enter it), and some vertex of S would end
+    uncovered.  A pass costs one scan of the distinct remaining moves plus
+    the moves it fires.  A certificate with more moves than a list can
+    hold, or a move off the graph's edges, is rejected up front.
     """
     check_pairing(g, c)
     for i, j in m.moves:
@@ -150,29 +150,23 @@ def execute_certificate(g: Graph, c: Configuration, m: MoveCertificate) -> list:
             raise ValueError(f"move ({i},{j}) is not along an edge")
     if m.total_moves > sys.maxsize:
         raise ValueError(f"certificate has {m.total_moves} moves, too many to list")
-    remaining = dict(sorted(m.moves.items()))
+    remaining = sorted(m.moves.items())
     current = list(c.pebbles)
     sequence = []
     while remaining:
-        blocked = set()  # sources of the remaining moves before the chosen one
-        for move in remaining:
-            i, j = move
-            if current[i] >= 2:
-                break
-            blocked.add(i)
-        else:
+        left = []
+        for (i, j), count in remaining:
+            run = min(count, current[i] // 2)
+            current[i] -= 2 * run
+            current[j] += run
+            sequence += [(i, j)] * run
+            if run < count:
+                left.append(((i, j), count - run))
+        if left == remaining:  # the pass fired nothing
             raise ValueError(
                 "certificate stalled with moves remaining; it does not satisfy "
                 "the covering inequalities")
-        run = min(remaining[move], current[i] // 2)
-        if j in blocked:
-            run = min(run, 2 - current[j])
-        current[i] -= 2 * run
-        current[j] += run
-        sequence += [move] * run
-        remaining[move] -= run
-        if not remaining[move]:
-            del remaining[move]
+        remaining = left
     return sequence
 
 

@@ -357,6 +357,44 @@ def test_json_booleans_are_rejected(tmp_path, capsys, command, files):
     assert "JSON boolean" in captured.err
 
 
+# each would be read by its last value and give an answer the file does not ask
+# for: K_2 (exit 0), P_3 with 6 pebbles (exit 1), no moves ("invalid"), one set;
+# the repeated key is always in the last file
+_P3_TEXT = '{"n": 3, "edges": [[0, 1], [1, 2]]}'
+_REPEATED_KEYS = {
+    "graph": ("solve", '"n"', {"--config": '{"pebbles": [3, 0]}',
+                               "--graph": '{"n": 3, "n": 2, "edges": [[0, 1]]}'}),
+    "graph-lambda": ("lambda", '"n"', {"--graph": '{"n": 3, "n": 2, "edges": [[0, 1]]}'}),
+    "configuration": ("solve", '"pebbles"', {
+        "--graph": _P3_TEXT, "--config": '{"pebbles": [7, 0, 0], "pebbles": [6, 0, 0]}'}),
+    "certificate": ("verify", '"moves"', {
+        "--graph": _P3_TEXT, "--config": '{"pebbles": [7, 0, 0]}',
+        "--certificate": '{"moves": [[0, 1, 3], [1, 2, 1]], "moves": []}'}),
+    "instance": ("xcover", '"sets"', {"--instance": '{"ground_set_size": 8, "sets": '
+                                      '[[0, 1, 2, 3], [4, 5, 6, 7]], "sets": [[0, 1, 2, 3]]}'}),
+    "instance-reduce": ("reduce", '"ground_set_size"', {
+        "--instance": '{"ground_set_size": 8, "sets": [[0, 1, 2, 3], [4, 5, 6, 7]], '
+                      '"ground_set_size": 4}'}),
+}
+
+
+@pytest.mark.parametrize("command, key, files", _REPEATED_KEYS.values(), ids=list(_REPEATED_KEYS))
+def test_repeated_keys_are_rejected(tmp_path, capsys, command, key, files):
+    argv = [command]
+    for i, (option, text) in enumerate(files.items()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(text)
+        argv += [option, str(path)]
+    outputs = [tmp_path / "g.json", tmp_path / "c.json"]
+    if command == "reduce":
+        argv += ["--out-graph", str(outputs[0]), "--out-config", str(outputs[1])]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} lists the key {key} twice in one object\n"
+    assert not any(out.exists() for out in outputs)
+
+
 @pytest.mark.parametrize("argv", [
     ["threshold", "--model", "mb", "--n", "4", "--t-min", "10", "--t-max", "5", "--step", "1",
      "--trials", "2", "--seed", "1"],

@@ -182,6 +182,14 @@ def test_a_row_does_not_depend_on_the_rows_after_it(draw):
             assert (draw(n, t, SeededStream(4, 9).generator(), rows) == block[:rows]).all()
 
 
+@pytest.mark.parametrize("draw", [mb_counts, be_counts])
+def test_kernels_draw_empty_rows_on_no_vertices(draw):
+    # no pebbles on no vertices, as the single samplers give: a row stride of 0
+    for rows in (1, 4):
+        for buffers in (None, DrawBuffers(0, 0, rows + 2)):
+            assert draw(0, 0, SeededStream(1).generator(), rows, buffers).shape == (rows, 0)
+
+
 @pytest.mark.parametrize("sampler", [cp.sample_mb, cp.sample_be_polya,
                                      cp.sample_be_stars_and_bars])
 def test_sampler_degenerate_cases(sampler):
