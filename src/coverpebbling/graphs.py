@@ -9,8 +9,13 @@ between u and v, or UNREACHABLE (-1) when no path joins them.
 
 Two kernels give the same matrix: a bit-parallel BFS over all sources at
 once for graphs of at least 32 vertices and short eccentricities, and one
-list BFS per source otherwise (see `_bfs_all_pairs`).  The components, and
-with them connectivity and the kernel choice, come from one BFS per
+list BFS per source otherwise (see `_bfs_all_pairs`).  A graph of at least
+32 vertices first sheds its pendant trees: leaves are stripped until none
+is left, the kernel runs on the remaining core, and each stripped vertex
+comes back as its parent's row plus one.  That is exact, because a leaf
+lies on no shortest path between other vertices, so long paths and
+pendant drains cost one row operation per vertex, not one BFS level per
+hop.  The components, and with them connectivity, come from one BFS per
 component at construction (see `_components`), not from the matrix.
 """
 
@@ -110,10 +115,76 @@ def _bfs_all_pairs(n: int, adjacency, depth: int) -> np.ndarray:
     BITSET_MAX_ECCENTRICITY, which bounds the diameter by twice that.  Below
     32 vertices the list BFS is faster on paths, cycles and trees; on paths
     the kernel stays faster up to a diameter of about 800.
+
+    A graph of at least BITSET_MIN_VERTICES vertices is first peeled: leaves
+    are stripped until none is left (`_peel`), a tree component keeping one
+    vertex, and the rule above picks the kernel for the core by the core's
+    own size and depth.  The peeled vertices then come back in reverse
+    order, each as `row(parent) + 1` written into its row and column.  This
+    is exact: a vertex that is a leaf when it comes back lies on no shortest
+    path between the vertices already placed, and every path out of it runs
+    through its parent.  So a path costs one row operation per vertex and
+    no BFS level at all.  Smaller graphs are not peeled: they keep the list
+    BFS on the whole graph.
     """
+    if n >= BITSET_MIN_VERTICES:
+        peeled, parent = _peel(n, adjacency)
+        if peeled:
+            return _readd(n, adjacency, peeled, parent)
+    return _core_distances(n, adjacency, depth)
+
+
+def _core_distances(n: int, adjacency, depth: int) -> np.ndarray:
+    """The kernel that `_bfs_all_pairs`' rule picks for a graph of n vertices and this depth."""
     if n >= BITSET_MIN_VERTICES and depth <= BITSET_MAX_ECCENTRICITY:
         return _bitset_bfs(n, adjacency)
     return _list_bfs(n, adjacency)
+
+
+def _peel(n: int, adjacency) -> tuple[list[int], list[int]]:
+    """Strip degree-1 vertices until none is left.
+
+    Returns the stripped vertices in the order they went and each one's
+    neighbour at that moment (its parent; UNREACHABLE for a kept vertex).
+    Of a K_2 component, one end is kept.
+    """
+    degree = list(map(len, adjacency))
+    parent = [UNREACHABLE] * n
+    peeled = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # its last neighbour went first: v is all that is left
+            continue
+        degree[v] = 0
+        w = next(w for w in adjacency[v] if degree[w])
+        parent[v] = w
+        peeled.append(v)
+        degree[w] -= 1
+        if degree[w] == 1:
+            leaves.append(w)
+    return peeled, parent
+
+
+def _readd(n: int, adjacency, peeled: list[int], parent: list[int]) -> np.ndarray:
+    """Distances of a peeled graph: its core's kernel, then the peeled vertices in reverse."""
+    core = [v for v in range(n) if parent[v] == UNREACHABLE]
+    label = {v: i for i, v in enumerate(core)}
+    core_adjacency = tuple(tuple(label[w] for w in adjacency[v] if w in label) for v in core)
+    components, depth = _components(len(core), core_adjacency)
+    # a core pair is written by the kernel and any other pair by the row and
+    # column of whichever of its ends comes back last, so the junk that a
+    # row copies from its parent towards vertices not yet back is overwritten
+    dist = np.empty((n, n), dtype=np.int64)
+    dist[np.ix_(core, core)] = _core_distances(len(core), core_adjacency, depth)
+    for v in reversed(peeled):
+        row = dist[v]
+        np.add(dist[parent[v]], 1, out=row)
+        if len(components) > 1:  # a pair across components must stay UNREACHABLE, not 0
+            row[row == 0] = UNREACHABLE
+        row[v] = 0
+        dist[:, v] = row
+    return dist
 
 
 def _components(n: int, adjacency) -> tuple[list[tuple[int, ...]], int]:

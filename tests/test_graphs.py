@@ -13,6 +13,8 @@ from coverpebbling import graphs
 from coverpebbling.graphs import UNREACHABLE
 from coverpebbling.sampling import SeededStream
 
+from conftest import coverable_instance
+
 
 def test_build_triangle():
     g = cp.Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -156,12 +158,12 @@ def test_distances_are_int64_square_and_read_only():
         assert raw.dtype == np.int64 and raw.shape == (n, n)
 
 
-def _kernel_used(monkeypatch, g):
-    """The kernels _bfs_all_pairs runs for g, by name."""
+def _kernels_used(monkeypatch, g):
+    """The kernels _bfs_all_pairs runs for g, by name, with the vertex count of each run."""
     used = []
     for name in ("_bitset_bfs", "_list_bfs"):
         def spy(n, adjacency, fn=getattr(graphs, name), name=name):
-            used.append(name)
+            used.append((name, n))
             return fn(n, adjacency)
         monkeypatch.setattr(graphs, name, spy)
     depth = graphs._components(g.vertex_count, g.adjacency)[1]
@@ -171,30 +173,61 @@ def _kernel_used(monkeypatch, g):
     return used
 
 
+def _triangle_ended_path(length):
+    """A path of `length` edges whose two end edges each close a triangle, so no vertex
+    is a leaf, with its middle vertex renamed 0: depth length // 2, diameter length."""
+    edges = [(v, v + 1) for v in range(length)]
+    edges += [(0, length + 1), (1, length + 1), (length, length + 2), (length - 1, length + 2)]
+    return _relabelled(length + 3, edges, length // 2)
+
+
 def test_kernel_choice_at_both_rule_boundaries(monkeypatch):
+    # the rule reads the peeled core, so its bounds are pinned on graphs without leaves
     ecc = graphs.BITSET_MAX_ECCENTRICITY
     floor = graphs.BITSET_MIN_VERTICES
-    path = lambda n: [(v, v + 1) for v in range(n - 1)]
+    cycle = lambda n, shift=0: [(v + shift, (v + 1) % n + shift) for v in range(n)]
     cases = [
         (cp.complete_graph(floor - 1), "_list_bfs"),
         (cp.complete_graph(floor), "_bitset_bfs"),
-        (cp.path_graph(ecc + 1), "_bitset_bfs"),  # eccentricity of vertex 0 is ecc
-        (cp.path_graph(ecc + 2), "_list_bfs"),
+        (cp.cycle_graph(2 * ecc + 1), "_bitset_bfs"),  # every vertex has eccentricity ecc
+        (cp.cycle_graph(2 * ecc + 2), "_list_bfs"),
         # its component BFS starts in the middle: distances up to 2 * ecc, so every plane is used
-        (_relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc), "_bitset_bfs"),
-        (_relabelled(2 * ecc + 2, path(2 * ecc + 2), ecc), "_list_bfs"),
-        (cp.Graph(301, [(u + 1, v + 1) for u, v in path(300)]), "_list_bfs"),
+        (_triangle_ended_path(2 * ecc), "_bitset_bfs"),
+        (_triangle_ended_path(2 * ecc + 2), "_list_bfs"),
+        (cp.Graph(2 * ecc + 2, cycle(2 * ecc + 1, 1)), "_bitset_bfs"),  # beside a lone vertex
+        (cp.Graph(2 * ecc + 3, cycle(2 * ecc + 2, 1)), "_list_bfs"),
         (cp.Graph(4 * 32, [(u + 32 * k, v + 32 * k)
                            for k in range(4) for u, v in cp.cube_graph(5).edges]),
          "_bitset_bfs"),
     ]
     for g, kernel in cases:
-        assert _kernel_used(monkeypatch, g) == [kernel], g
+        assert _kernels_used(monkeypatch, g) == [(kernel, g.vertex_count)], g
         assert (graphs._bitset_bfs(g.vertex_count, g.adjacency) == g.distances).all()
         assert (graphs._list_bfs(g.vertex_count, g.adjacency) == g.distances).all()
         _assert_bfs_distances(g)
-    middle = _relabelled(2 * ecc + 1, path(2 * ecc + 1), ecc)
-    assert middle.distances.max() == 2 * ecc
+    assert _triangle_ended_path(2 * ecc).distances.max() == 2 * ecc
+
+
+def test_kernel_runs_on_the_peeled_core(monkeypatch):
+    ecc = graphs.BITSET_MAX_ECCENTRICITY
+    path = lambda n, shift=0: [(v + shift, v + 1 + shift) for v in range(n - 1)]
+    # a path peels to one vertex, so no BFS runs over more than that
+    for g in (cp.path_graph(ecc + 2), cp.path_graph(3000),
+              _relabelled(2 * ecc + 2, path(2 * ecc + 2), ecc)):
+        assert [n for _, n in _kernels_used(monkeypatch, g)] == [1]
+    # a cube with a pendant path longer than the rule's depth runs the bitset BFS on the cube
+    q6 = cp.cube_graph(6).edges
+    tail = [(5, 64)] + path(ecc + 50, 64)
+    g = cp.Graph(64 + ecc + 50, q6 + tuple(tail))
+    assert _kernels_used(monkeypatch, g) == [("_bitset_bfs", 64)]
+    assert (g.distances == graphs._list_bfs(g.vertex_count, g.adjacency)).all()
+    # below the vertex floor nothing is peeled: the list BFS runs on the whole graph
+    small = cp.path_graph(graphs.BITSET_MIN_VERTICES - 1)
+    assert _kernels_used(monkeypatch, small) == [("_list_bfs", small.vertex_count)]
+    # a forest of trees keeps one vertex each: 40 trees make an edgeless 40-vertex core
+    forest = cp.Graph(40 * 3, [(3 * k + i, 3 * k + 2) for k in range(40) for i in range(2)])
+    assert _kernels_used(monkeypatch, forest) == [("_bitset_bfs", 40)]
+    assert (forest.distances == graphs._list_bfs(120, forest.adjacency)).all()
 
 
 def test_disconnected_distances():
@@ -263,6 +296,95 @@ def test_bitset_kernel_memory_stays_near_its_result():
         tracemalloc.stop()
     assert peak <= 64 * 2**20
     assert (dist == 1 - np.eye(n, dtype=np.int64)).all()
+
+
+def _with_pendants(rng, n, edges, count):
+    """Edges of the graph with `count` random trees and paths hung off random vertices."""
+    edges = list(edges)
+    for _ in range(count):
+        root, size = rng.randrange(n), rng.randint(1, 40)
+        if rng.random() < 0.5:  # a path
+            edges += [(root if k == 0 else n + k - 1, n + k) for k in range(size)]
+        else:  # a random recursive tree
+            edges += [(root if k == 0 else n + rng.randrange(k), n + k) for k in range(size)]
+        n += size
+    return n, edges
+
+
+def _shuffled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return cp.Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_peeled_distances_match_the_list_bfs():
+    rng = random.Random(27)
+    graphs_seen = []
+    cores = [cp.cycle_graph(k) for k in (32, 77, 200)]
+    cores += [cp.gnp_random_graph(k, rng.uniform(1.5, 5.0) / k, rng.getrandbits(63))
+              for k in (32, 60, 120, 200) for _ in range(2)]
+    cores += [cp.cube_graph(5), cp.cube_graph(6)]
+    for core in cores:
+        for count in (1, 3, 12):
+            n, edges = _with_pendants(rng, core.vertex_count, core.edges, count)
+            graphs_seen.append(_shuffled(rng, n, edges))
+    for _ in range(8):  # forests of K_1, K_2, bare trees and cored components
+        n, edges = 0, []
+        for _ in range(rng.randint(3, 12)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                n += 1
+            elif kind == 1:
+                edges.append((n, n + 1))
+                n += 2
+            elif kind == 2:
+                size = rng.randint(2, 40)
+                edges += [(n + rng.randrange(k), n + k) for k in range(1, size)]
+                n += size
+            else:
+                k = rng.randint(3, 30)
+                end, extra = _with_pendants(rng, k, cp.cycle_graph(k).edges, rng.randint(0, 4))
+                edges += [(u + n, v + n) for u, v in extra]
+                n += end
+        graphs_seen.append(_shuffled(rng, n, edges))
+    graphs_seen += [cp.build_reduction(coverable_instance(rng, span)).graph
+                    for span in range(1, 65)]
+    assert sum(g.vertex_count >= graphs.BITSET_MIN_VERTICES for g in graphs_seen) > 100
+    for g in graphs_seen:
+        assert (g.distances == graphs._list_bfs(g.vertex_count, g.adjacency)).all(), g
+    # a drain of span - 1 interior vertices and its terminal come off the gadget
+    span64 = graphs_seen[-1]
+    assert len(graphs._peel(span64.vertex_count, span64.adjacency)[0]) >= 64
+    # a relabelled path: |i - j| between the positions along it
+    n = 1000
+    order = list(range(n))
+    rng.shuffle(order)
+    g = cp.Graph(n, zip(order, order[1:]))
+    at = np.argsort(order)
+    assert (g.distances == abs(at[:, None] - at[None, :])).all()
+    assert cp.cover_pebbling_number(g).cover_number == 2**n - 1
+
+
+def test_peeled_path_memory_stays_near_its_result():
+    # one list BFS per source would hold 4 M Python ints; the peel writes rows into the result
+    n = 2000
+    order = list(range(n))
+    random.Random(2000).shuffle(order)
+    nbrs = [[] for _ in range(n)]
+    for u, v in zip(order, order[1:]):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adjacency = tuple(map(tuple, nbrs))
+    depth = graphs._components(n, adjacency)[1]
+    tracemalloc.start()
+    try:
+        dist = graphs._bfs_all_pairs(n, adjacency, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dist.nbytes
+    at = np.argsort(order)
+    assert (dist == abs(at[:, None] - at[None, :])).all()
 
 
 def test_family_counts():
