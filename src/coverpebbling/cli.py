@@ -3,7 +3,8 @@
 Exit codes: 0 success (or solvable / cover found), 1 unsolvable / no cover,
 2 undecided within the node budget, 64 usage error (including an option
 value the library rejects and an output path that cannot be written), 65
-unreadable or invalid input file.
+unreadable or invalid input file.  A request too large for memory exits
+as a bad option value or input file does, with one `error:` line.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# command -> (handler, reads input files): a ValueError means a bad input
-# file if it does, else an option value the library rejected
+# command -> (handler, reads input files): a ValueError or MemoryError means a
+# bad input file if it does, else an option value the library rejected
 _COMMANDS = {
     "lambda": (_cmd_lambda, True),
     "solve": (_cmd_solve, True),
@@ -333,8 +334,8 @@ def run_cli(argv=None) -> int:
     handler, reads_files = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if reads_files and not isinstance(exc, _UsageError):
             return EXIT_INPUT
         raise SystemExit(EXIT_USAGE) from exc

@@ -30,6 +30,18 @@ import numpy as np
 UNREACHABLE = -1
 
 
+def integer_argument(name: str, value, least: int | None = None) -> int:
+    """`value` as a Python int; a ValueError naming the argument when it is not
+    an integer (1.0 included) or lies below `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 class Graph:
     """Immutable simple graph: vertex_count, sorted edge tuple, adjacency, distances.
 
@@ -38,15 +50,11 @@ class Graph:
     """
 
     def __init__(self, vertex_count: int, edges):
+        self.vertex_count = vertex_count = integer_argument("vertex_count", vertex_count, 0)
         try:
-            vertex_count = operator.index(vertex_count)
             pairs = [(operator.index(u), operator.index(v)) for u, v in edges]
         except TypeError as exc:
-            raise ValueError(
-                f"a graph needs an integer vertex count and integer edge pairs: {exc}") from exc
-        if vertex_count < 0:
-            raise ValueError(f"vertex count must be non-negative, got {vertex_count}")
-        self.vertex_count = vertex_count
+            raise ValueError(f"graph edges must be integer pairs: {exc}") from exc
         canonical = set()
         for u, v in pairs:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -80,6 +88,9 @@ class Graph:
         return (u, v) in s or (v, u) in s
 
     def degree(self, v: int) -> int:
+        v = integer_argument("vertex", v)
+        if not 0 <= v < self.vertex_count:
+            raise ValueError(f"vertex {v} is not in 0..{self.vertex_count - 1}")
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
@@ -333,27 +344,23 @@ def check_pairing(g: Graph, c: Configuration) -> None:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("K_n requires n >= 1")
+    n = integer_argument("n", n, 1)
     return Graph(n, combinations(range(n), 2))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("P_n requires n >= 1")
+    n = integer_argument("n", n, 1)
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("C_n requires n >= 3")
+    n = integer_argument("n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def cube_graph(d: int) -> Graph:
     """Binary d-cube: vertices are bit strings, edges join Hamming distance 1."""
-    if d < 0:
-        raise ValueError("Q^d requires d >= 0")
+    d = integer_argument("d", d, 0)
     n = 1 << d
     edges = []
     for v in range(n):
@@ -388,8 +395,7 @@ def complete_multipartite(parts) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices via a Prufer sequence."""
-    if n < 1:
-        raise ValueError("random_tree requires n >= 1")
+    n, seed = integer_argument("n", n, 1), integer_argument("seed", seed)
     if n == 1:
         return Graph(1, [])
     from .sampling import SeededStream  # here, because sampling imports graphs
@@ -413,8 +419,7 @@ def random_tree(n: int, seed: int) -> Graph:
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p)."""
-    if n < 0:
-        raise ValueError("gnp requires n >= 0")
+    n, seed = integer_argument("n", n, 0), integer_argument("seed", seed)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     from .sampling import SeededStream  # here, because sampling imports graphs

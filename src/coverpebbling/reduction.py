@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Configuration, Graph
+from .graphs import Configuration, Graph, integer_argument
 from .solvability import (
     DEFAULT_NODE_BUDGET,
     SOLVABLE,
@@ -36,10 +36,13 @@ class X4CInstance:
     sets: tuple
 
     def __init__(self, ground_set_size, sets):
-        object.__setattr__(self, "ground_set_size", operator.index(ground_set_size))
         object.__setattr__(
-            self, "sets", tuple(tuple(sorted(map(operator.index, s))) for s in sets)
-        )
+            self, "ground_set_size", integer_argument("ground_set_size", ground_set_size))
+        try:
+            sets = tuple(tuple(sorted(map(operator.index, s))) for s in sets)
+        except TypeError as exc:
+            raise ValueError(f"sets must hold integers: {exc}") from exc
+        object.__setattr__(self, "sets", sets)
 
     @property
     def n(self) -> int:
@@ -155,10 +158,18 @@ def cover_witness_certificate(x: X4CInstance, cover) -> MoveCertificate:
 
     Cover subsets spend eight pebbles covering their elements; each unused
     subset vertex relays one pebble to the collector through its buffer
-    chain; the collector halves its pile down the drain path.
+    chain; the collector halves its pile down the drain path.  `cover` must
+    be n distinct set indices whose sets partition the ground set.
     """
     b_base, b1_base, b2_base, drain = _layout(x)
     span = len(drain) - 1
+    cover = [integer_argument("cover index", i) for i in cover]
+    # n sets of four distinct elements partition 0..4n-1 exactly when their
+    # elements, sorted, are 0..4n-1; a repeated index repeats its elements
+    elements = sorted(e for i in cover if 0 <= i < x.m for e in x.sets[i])
+    if len(cover) != x.n or elements != list(range(x.ground_set_size)):
+        raise ValueError(f"cover {cover} is not {x.n} set indices whose sets partition "
+                         f"the ground set")
     cover = set(cover)
 
     moves = {}
@@ -197,6 +208,7 @@ def reduction_equivalence_check(
     never as a disagreement.
     """
     _require_valid(x)
+    budget = integer_argument("budget", budget, 0)
     built = build_reduction(x)
     witness = exact_cover_bruteforce(x)
     if witness is not None:

@@ -43,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import Configuration
+from .graphs import Configuration, integer_argument
 
 _MASK64 = 2**64 - 1
 # the largest bound `_integers` draws below: numpy's 32-bit Lemire path
@@ -61,6 +61,11 @@ class SeededStream:
 
     seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", integer_argument("seed", self.seed))
+        object.__setattr__(self, "stream_index",
+                           integer_argument("stream_index", self.stream_index))
 
     def generator(self) -> np.random.Generator:
         rng = np.random.Generator(np.random.Philox(_seed_sequence()))
@@ -94,11 +99,11 @@ def rekey(rng: np.random.Generator, seed: int, stream_index: int) -> None:
     }
 
 
-def _check_n_t(n: int, t: int) -> None:
-    if n < 0 or t < 0:
-        raise ValueError("vertex and pebble counts must be non-negative")
+def _check_n_t(n: int, t: int) -> tuple[int, int]:
+    n, t = integer_argument("n", n, 0), integer_argument("t", t, 0)
     if n == 0 and t > 0:
         raise ValueError("cannot place pebbles on zero vertices")
+    return n, t
 
 
 def _integers(rng: np.random.Generator, bounds, out: np.ndarray) -> np.ndarray:
@@ -252,7 +257,7 @@ def be_counts(n: int, t: int, rng: np.random.Generator, rows: int = 1,
 
 def sample_mb(n: int, t: int, s: SeededStream) -> Configuration:
     """One Maxwell-Boltzmann configuration of t pebbles on n vertices."""
-    _check_n_t(n, t)
+    n, t = _check_n_t(n, t)
     return Configuration(np.bincount(s.generator().integers(0, n, t), minlength=n).tolist())
 
 
@@ -262,7 +267,7 @@ def sample_be_polya(n: int, t: int, s: SeededStream) -> Configuration:
     Draw k copies ball picks[k] of the n + k balls before it; a ball below n
     is an original, so `vertex` maps every ball to the vertex it copies.
     """
-    _check_n_t(n, t)
+    n, t = _check_n_t(n, t)
     vertex = list(range(n))
     for pick in s.generator().integers(0, n + np.arange(t)).tolist():
         vertex.append(vertex[pick])
@@ -278,7 +283,7 @@ def sample_be_stars_and_bars(n: int, t: int, s: SeededStream) -> Configuration:
     Picks n-1 bar positions among the n+t-1 star/bar slots uniformly
     without replacement; gap sizes are the counts.
     """
-    _check_n_t(n, t)
+    n, t = _check_n_t(n, t)
     if n == 0:
         return Configuration(())
     if n == 1:
@@ -295,8 +300,7 @@ def be_odd_stack_pmf(n: int, t: int, x: int) -> Fraction:
     Zero off the support (parity mismatch or x > min(t, n)); otherwise
     C(n,x) * C((t-x)/2 + n - 1, n - 1) / C(n+t-1, n-1).
     """
-    if n < 1 or t < 0 or x < 0:
-        raise ValueError("need n >= 1, t >= 0, x >= 0")
+    n, t, x = integer_argument("n", n, 1), integer_argument("t", t, 0), integer_argument("x", x, 0)
     if x % 2 != t % 2 or x > min(t, n):
         return Fraction(0)
     return Fraction(
@@ -307,15 +311,13 @@ def be_odd_stack_pmf(n: int, t: int, x: int) -> Fraction:
 
 def mb_expected_odd_stacks(n: int, t: int) -> float:
     """E(X) under Maxwell-Boltzmann: (n/2) * (1 - (1 - 2/n)^t)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n, t = integer_argument("n", n, 1), integer_argument("t", t, 0)
     return (n / 2.0) * (1.0 - (1.0 - 2.0 / n) ** t)
 
 
 def mb_variance_odd_stacks(n: int, t: int) -> float:
     """Var(X) under Maxwell-Boltzmann (exact second-moment formula)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n, t = integer_argument("n", n, 2), integer_argument("t", t, 0)
     a = (1.0 - 2.0 / n) ** (2 * t)
     b = (1.0 - 4.0 / n) ** t
     return (n / 4.0) * (1.0 - a) + (n * (n - 1) / 4.0) * (b - a)
@@ -323,8 +325,7 @@ def mb_variance_odd_stacks(n: int, t: int) -> float:
 
 def be_expected_odd_stacks_exact(n: int, t: int) -> Fraction:
     """E(X) under Bose-Einstein as an exact rational, summed from the pmf."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1, t >= 0")
+    n, t = integer_argument("n", n, 1), integer_argument("t", t, 0)
     return sum(
         (x * be_odd_stack_pmf(n, t, x) for x in range(t % 2, min(n, t) + 1, 2)),
         Fraction(0),
@@ -333,8 +334,7 @@ def be_expected_odd_stacks_exact(n: int, t: int) -> Fraction:
 
 def be_expected_odd_stacks_approx(n: int, t: int) -> float:
     """Leading-order E(X) under Bose-Einstein: nt / (n + 2t)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n, t = integer_argument("n", n, 1), integer_argument("t", t, 0)
     if t == 0:
         return 0.0
     return n * t / (n + 2 * t)

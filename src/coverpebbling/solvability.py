@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
-from .graphs import Configuration, Graph, check_pairing
+from .graphs import Configuration, Graph, check_pairing, integer_argument
 from .stacking import power_sums, stacking_weights
 
 SOLVABLE = "solvable"
@@ -77,14 +77,17 @@ class MoveCertificate:
 
     def __init__(self, moves=None):
         cleaned = {}
-        for (i, j), count in dict(moves or {}).items():
-            i, j, count = operator.index(i), operator.index(j), operator.index(count)
-            if count < 0:
-                raise ValueError(f"negative move count for ({i},{j})")
-            if i == j:
-                raise ValueError(f"move ({i},{j}) from a vertex to itself")
-            if count:
-                cleaned[(i, j)] = count
+        try:
+            for (i, j), count in dict(moves or {}).items():
+                i, j, count = operator.index(i), operator.index(j), operator.index(count)
+                if count < 0:
+                    raise ValueError(f"negative move count for ({i},{j})")
+                if i == j:
+                    raise ValueError(f"move ({i},{j}) from a vertex to itself")
+                if count:
+                    cleaned[(i, j)] = count
+        except TypeError as exc:
+            raise ValueError(f"moves must map integer pairs to integer counts: {exc}") from exc
         self.moves = cleaned
 
     @property
@@ -277,12 +280,7 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     check_pairing(g, c)
     if g.vertex_count < 1:
         raise ValueError("solve needs a graph with at least one vertex")
-    try:
-        budget = operator.index(budget)
-    except TypeError:
-        raise ValueError(f"budget must be an integer, not {type(budget).__name__}") from None
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    budget = integer_argument("budget", budget, 0)
     components = g.components()
     parts = []
     for comp in components:

@@ -14,12 +14,11 @@ through a float.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, integer_argument
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,7 @@ def _require_connected(g: Graph) -> None:
 
 def stacking_weight(g: Graph, v: int) -> int:
     """Exact sum_u 2^dist(u,v), in unbounded integer arithmetic."""
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise ValueError(f"vertex must be an integer, not {type(v).__name__}") from None
+    v = integer_argument("vertex", v)
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} is not in 0..{g.vertex_count - 1}")
     _require_connected(g)

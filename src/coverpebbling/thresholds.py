@@ -26,13 +26,13 @@ n + t - 1, must stay within the sampler's exact 32-bit path
 from __future__ import annotations
 
 import io
-import operator
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
+from .graphs import integer_argument
 from .sampling import (MAX_BOUND, DrawBuffers, RandomModel, SeededStream, be_counts, mb_counts,
                        rekey)
 
@@ -113,13 +113,6 @@ def _count_solvable(args) -> int:
     return count
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
-
-
 def sweep(
     model: RandomModel,
     n: int,
@@ -137,22 +130,15 @@ def sweep(
     pool has at most os.cpu_count() processes, whatever `workers` asks for.
     """
     model = RandomModel(model)
-    n, t_min, t_max, step, trials, seed, workers = (_integer(*arg) for arg in (
-        ("n", n), ("t_min", t_min), ("t_max", t_max), ("step", step), ("trials", trials),
-        ("seed", seed), ("workers", workers)))
+    n, t_min, t_max = (integer_argument("n", n, 1), integer_argument("t_min", t_min, 0),
+                       integer_argument("t_max", t_max))
+    step, trials = integer_argument("step", step, 1), integer_argument("trials", trials, 1)
+    seed, workers = integer_argument("seed", seed), integer_argument("workers", workers, 1)
     if t_min > t_max:
         raise ValueError("t_min must not exceed t_max")
-    if step < 1:
-        raise ValueError("step must be positive")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
     # every draw bound, up to n + t_max - 1, stays below MAX_BOUND (and so t_max
     # below _T_STRIDE); checked before anything is allocated
-    if t_min < 0 or n + t_max > MAX_BOUND:
+    if n + t_max > MAX_BOUND:
         raise ValueError(f"pebble counts must lie in 0..{MAX_BOUND - n} (n + t at most "
                          f"2^32 - 1, the sampler's 32-bit draw limit), got {t_min}..{t_max}")
     ts = list(range(t_min, t_max + 1, step))

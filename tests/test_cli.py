@@ -484,3 +484,26 @@ def test_output_paths_are_checked_before_the_work(p3, tmp_path, capsys, monkeypa
                 run_cli(argv + [option, str(path)])
         assert kept.read_text() == "old\n" and not fresh.exists()
         assert not other.exists()
+
+
+def test_memory_errors_exit_like_value_errors(p3, capsys, monkeypatch):
+    # a request too large for memory, such as a sweep at t near 2^31, gives one
+    # error line and the exit code of a rejected option (64) or input file (65);
+    # the failing allocations are stood in for, never made
+    def sweep(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(thresholds, "sweep", sweep)
+    monkeypatch.setattr("coverpebbling.cli.cover_pebbling_number", bare)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["threshold", "--model", "be", "--n", "1", "--t-min", "0", "--t-max",
+                 "2147483648", "--step", "2147483648", "--trials", "1", "--seed", "1"])
+    assert exc.value.code == 64
+    assert run_cli(["lambda", "--graph", p3]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Unable to allocate 16.0 GiB for an array",
+                                         "error: out of memory"]
