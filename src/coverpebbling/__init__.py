@@ -29,7 +29,6 @@ from .reduction import (
     instance_from_dict,
     instance_to_dict,
     reduction_equivalence_check,
-    validate_instance,
 )
 from .sampling import (
     RandomModel,

@@ -22,6 +22,7 @@ component at construction (see `_components`), not from the matrix.
 from __future__ import annotations
 
 import heapq
+import numbers
 import operator
 from itertools import chain, combinations
 
@@ -420,6 +421,8 @@ def random_tree(n: int, seed: int) -> Graph:
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p)."""
     n, seed = integer_argument("n", n, 0), integer_argument("seed", seed)
+    if not isinstance(p, numbers.Real):
+        raise ValueError(f"p must be a real number, not {type(p).__name__}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     from .sampling import SeededStream  # here, because sampling imports graphs

@@ -10,6 +10,9 @@ interior vertex.  Covering T spends eight pebbles of a chosen subset
 vertex on its four elements; every unused subset vertex can push exactly
 one pebble to v at cost eight, and only a full group of eight survives the
 three-edge trip, which is what forces exactness.
+
+An X4CInstance is checked once, when it is made, so the functions here take
+it as valid.
 """
 
 from __future__ import annotations
@@ -30,18 +33,32 @@ from .solvability import (
 
 @dataclass(frozen=True)
 class X4CInstance:
-    """Ground set {0, ..., ground_set_size-1} and a family of 4-element subsets."""
+    """Ground set {0, ..., ground_set_size-1} and a family of 4-element subsets;
+    an invalid instance raises ValueError listing every violation."""
 
     ground_set_size: int
     sets: tuple
 
     def __init__(self, ground_set_size, sets):
-        object.__setattr__(
-            self, "ground_set_size", integer_argument("ground_set_size", ground_set_size))
+        size = integer_argument("ground_set_size", ground_set_size)
         try:
             sets = tuple(tuple(sorted(map(operator.index, s))) for s in sets)
         except TypeError as exc:
             raise ValueError(f"sets must hold integers: {exc}") from exc
+        errors = []
+        if size <= 0 or size % 4 != 0:
+            errors.append(f"ground set size {size} is not a positive multiple of 4")
+        for idx, s in enumerate(sets):
+            if len(set(s)) != 4:
+                errors.append(f"set #{idx} {s} does not have exactly 4 distinct elements")
+            for e in s:
+                if not 0 <= e < size:
+                    errors.append(f"set #{idx} element {e} outside the ground set")
+        if len(sets) < size // 4:
+            errors.append(f"need at least {size // 4} sets, got {len(sets)}")
+        if errors:
+            raise ValueError("invalid instance: " + "; ".join(errors))
+        object.__setattr__(self, "ground_set_size", size)
         object.__setattr__(self, "sets", sets)
 
     @property
@@ -51,28 +68,6 @@ class X4CInstance:
     @property
     def m(self) -> int:
         return len(self.sets)
-
-
-def validate_instance(x: X4CInstance) -> list:
-    """All invariant violations as messages; an empty list means valid."""
-    errors = []
-    if x.ground_set_size <= 0 or x.ground_set_size % 4 != 0:
-        errors.append(f"ground set size {x.ground_set_size} is not a positive multiple of 4")
-    for idx, s in enumerate(x.sets):
-        if len(set(s)) != 4:
-            errors.append(f"set #{idx} {s} does not have exactly 4 distinct elements")
-        for e in s:
-            if not 0 <= e < x.ground_set_size:
-                errors.append(f"set #{idx} element {e} outside the ground set")
-    if x.m < x.n:
-        errors.append(f"need at least {x.n} sets, got {x.m}")
-    return errors
-
-
-def _require_valid(x: X4CInstance) -> None:
-    errors = validate_instance(x)
-    if errors:
-        raise ValueError("invalid instance: " + "; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,6 @@ def _layout(x: X4CInstance):
     T takes vertices 0..4n-1; B, B' and B'' follow with m vertices each, and
     the drain path of length m-n closes the numbering.
     """
-    _require_valid(x)
     n, m = x.n, x.m
     if m <= n:
         raise ValueError(f"reduction needs m > n subsets, got m={m}, n={n}")
@@ -142,7 +136,6 @@ def build_reduction(x: X4CInstance) -> ReductionOutput:
 
 def exact_cover_bruteforce(x: X4CInstance):
     """Exhaustive witness search: n set indices partitioning S, or None."""
-    _require_valid(x)
     full = x.ground_set_size
     for indices in combinations(range(x.m), x.n):
         union = set()
@@ -207,7 +200,6 @@ def reduction_equivalence_check(
     under the given node budget; an undecided outcome is reported as such,
     never as a disagreement.
     """
-    _require_valid(x)
     budget = integer_argument("budget", budget, 0)
     built = build_reduction(x)
     witness = exact_cover_bruteforce(x)
@@ -227,7 +219,7 @@ def instance_to_dict(x: X4CInstance) -> dict:
 
 def instance_from_dict(d: dict) -> X4CInstance:
     try:
-        return X4CInstance(d["ground_set_size"], d["sets"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"instance JSON needs 'ground_set_size' and 'sets': {exc}") from exc
+        ground_set_size, sets = d["ground_set_size"], d["sets"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"instance JSON needs 'ground_set_size' and 'sets': {exc}") from exc
+    return X4CInstance(ground_set_size, sets)

@@ -334,6 +334,26 @@ def test_non_integer_certificate_and_instance_are_rejected(p3, tmp_path, capsys)
     assert captured.err.count("error: ") == 2
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("xcover", []),
+    ("reduce", ["g.json", "c.json"]),
+    # the instance is read, and refused, before the output paths are checked
+    ("reduce", ["no-such-dir/g.json", "c.json"]),
+], ids=["xcover", "reduce", "reduce-unwritable-output"])
+def test_invalid_instance_files_are_input_errors(tmp_path, capsys, command, outputs):
+    instance = _write(tmp_path / "x.json", {"ground_set_size": 8,
+                                            "sets": [[0, 1, 2, 3], [0, 1, 2]]})
+    argv = [command, "--instance", instance]
+    for option, name in zip(["--out-graph", "--out-config"], outputs):
+        argv += [option, str(tmp_path / name)]
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid instance: set #1 (0, 1, 2) does not have "
+                            "exactly 4 distinct elements\n")
+    assert not any((tmp_path / name).exists() for name in outputs)
+
+
 # each would be read as 1 or 0 and succeed if booleans were taken for integers
 _BOOLEAN_INPUTS = {
     "graph": ("lambda", {"--graph": {"n": True, "edges": []}}),

@@ -17,6 +17,9 @@ _NAMED = {
     "cube-float": (lambda: cp.cube_graph(2.5), "d must be an integer"),
     "tree-seed-float": (lambda: cp.random_tree(3, 1.5), "seed must be an integer"),
     "gnp-seed-float": (lambda: cp.gnp_random_graph(3, 0.5, 1.5), "seed must be an integer"),
+    "gnp-p-str": (lambda: cp.gnp_random_graph(3, "0.5", 1), "p must be a real number"),
+    "gnp-p-none": (lambda: cp.gnp_random_graph(3, None, 1), "p must be a real number"),
+    "gnp-p-complex": (lambda: cp.gnp_random_graph(3, 1 + 0j, 1), "p must be a real number"),
     "mb-t-float": (lambda: cp.sample_mb(3, 2.5, _S), "t must be an integer"),
     "be-t-float": (lambda: cp.sample_be_polya(3, 2.5, _S), "t must be an integer"),
     "stream-seed-float": (lambda: SeededStream(1.5), "seed must be an integer"),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,17 +12,19 @@ from conftest import (
 )
 
 
-def test_validate_instance():
-    assert cp.validate_instance(cp.X4CInstance(8, FIGURE_SETS)) == []
-    assert any("multiple of 4" in e for e in cp.validate_instance(cp.X4CInstance(6, [])))
-    bad = cp.X4CInstance(8, [[0, 1, 2]])
-    assert any("4 distinct" in e for e in cp.validate_instance(bad))
-    dup = cp.X4CInstance(8, [[0, 0, 1, 2]])
-    assert any("4 distinct" in e for e in cp.validate_instance(dup))
-    out = cp.X4CInstance(8, [[0, 1, 2, 9], [0, 1, 2, 3]])
-    assert any("outside" in e for e in cp.validate_instance(out))
-    few = cp.X4CInstance(8, [[0, 1, 2, 3]])
-    assert any("at least" in e for e in cp.validate_instance(few))
+# each instance breaks one rule, except the last, which breaks two
+@pytest.mark.parametrize("size, sets, violations", [
+    (6, [[0, 1, 2, 3]], "ground set size 6 is not a positive multiple of 4"),
+    (4, [[0, 1, 2]], "set #0 (0, 1, 2) does not have exactly 4 distinct elements"),
+    (4, [[0, 0, 1, 2]], "set #0 (0, 0, 1, 2) does not have exactly 4 distinct elements"),
+    (8, [[0, 1, 2, 9], [0, 1, 2, 3]], "set #0 element 9 outside the ground set"),
+    (8, [[0, 1, 2, 3]], "need at least 2 sets, got 1"),
+    (8, [[0, 1, 2]], "set #0 (0, 1, 2) does not have exactly 4 distinct elements; "
+                     "need at least 2 sets, got 1"),
+], ids=["size", "short-set", "repeated-element", "outside", "too-few-sets", "two-violations"])
+def test_invalid_instances_are_refused_when_made(size, sets, violations):
+    with pytest.raises(ValueError, match=f"^{re.escape('invalid instance: ' + violations)}$"):
+        cp.X4CInstance(size, sets)
 
 
 def test_build_reduction_figure_instance():
