@@ -133,18 +133,6 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload) + "\n")
 
 
-def _load_graph(path: str):
-    return graph_from_dict(_load_json(path))
-
-
-def _load_config(path: str):
-    return configuration_from_dict(_load_json(path))
-
-
-def _load_instance(path: str):
-    return reduction.instance_from_dict(_load_json(path))
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coverpebble", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -212,14 +200,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_lambda(args) -> int:
-    result = cover_pebbling_number(_load_graph(args.graph))
+    result = cover_pebbling_number(graph_from_dict(_load_json(args.graph)))
     print(json.dumps({"lambda": str(result.cover_number), "argmax": result.argmax_vertex}))
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    graph = _load_graph(args.graph)
-    config = _load_config(args.config)
+    graph = graph_from_dict(_load_json(args.graph))
+    config = configuration_from_dict(_load_json(args.config))
     if args.oracle:
         answer = solvability.solve_bruteforce(graph, config)
         print(json.dumps({"status": "solvable" if answer else "unsolvable"}))
@@ -243,8 +231,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     ok = solvability.verify_certificate(
-        _load_graph(args.graph),
-        _load_config(args.config),
+        graph_from_dict(_load_json(args.graph)),
+        configuration_from_dict(_load_json(args.config)),
         solvability.certificate_from_dict(_load_json(args.certificate)),
     )
     print("valid" if ok else "invalid")
@@ -286,7 +274,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = reduction.instance_from_dict(_load_json(args.instance))
     _check_writable(args.out_graph)
     _check_writable(args.out_config)
     built = reduction.build_reduction(instance)
@@ -296,7 +284,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_xcover(args) -> int:
-    witness = reduction.exact_cover_bruteforce(_load_instance(args.instance))
+    instance = reduction.instance_from_dict(_load_json(args.instance))
+    witness = reduction.exact_cover_bruteforce(instance)
     if witness is None:
         print("none")
         return EXIT_NEGATIVE

@@ -156,7 +156,10 @@ def cover_witness_certificate(x: X4CInstance, cover) -> MoveCertificate:
     """
     b_base, b1_base, b2_base, drain = _layout(x)
     span = len(drain) - 1
-    cover = [integer_argument("cover index", i) for i in cover]
+    try:
+        cover = [integer_argument("cover index", i) for i in cover]
+    except TypeError:
+        raise ValueError(f"cover must be an iterable, not {type(cover).__name__}") from None
     # n sets of four distinct elements partition 0..4n-1 exactly when their
     # elements, sorted, are 0..4n-1; a repeated index repeats its elements
     elements = sorted(e for i in cover if 0 <= i < x.m for e in x.sets[i])

@@ -335,8 +335,6 @@ def be_expected_odd_stacks_exact(n: int, t: int) -> Fraction:
 def be_expected_odd_stacks_approx(n: int, t: int) -> float:
     """Leading-order E(X) under Bose-Einstein: nt / (n + 2t)."""
     n, t = integer_argument("n", n, 1), integer_argument("t", t, 0)
-    if t == 0:
-        return 0.0
     return n * t / (n + 2 * t)
 
 

@@ -184,7 +184,11 @@ def apply_moves(g: Graph, c: Configuration, seq) -> Configuration:
     check_pairing(g, c)
     current = list(c.pebbles)
     idx = 0
-    for move, group in groupby(seq):
+    try:
+        runs = groupby(seq)
+    except TypeError:
+        raise ValueError(f"moves must be an iterable, not {type(seq).__name__}") from None
+    for move, group in runs:
         try:
             i, j = move
         except (TypeError, ValueError):

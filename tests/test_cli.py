@@ -190,7 +190,7 @@ def test_dist_output(capsys):
     assert lines[1].startswith("2 1/3")
 
 
-def test_threshold_csv_and_worker_identity(tmp_path):
+def test_threshold_csv_and_worker_identity(tmp_path, capsys):
     args = ["threshold", "--model", "mb", "--n", "20", "--t-min", "25", "--t-max", "40",
             "--step", "5", "--trials", "80", "--seed", "3", "--crossing"]
     out1 = tmp_path / "a.csv"
@@ -198,6 +198,9 @@ def test_threshold_csv_and_worker_identity(tmp_path):
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2), "--workers", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    capsys.readouterr()
+    assert run_cli(args) == 0  # without --out the same CSV goes to stdout
+    assert capsys.readouterr().out.encode() == out1.read_bytes()
     lines = out1.read_text().strip().split("\n")
     assert lines[0] == "model,n,t,trials,solvable_count,p_hat,seed"
     assert len(lines) == 1 + 4 + 1

@@ -33,10 +33,17 @@ _NAMED = {
     "degree-negative": (lambda: cp.path_graph(3).degree(-1), "vertex -1 is not in 0..2"),
     "instance-size-float": (lambda: cp.X4CInstance(8.0, [[0, 1, 2, 3]]),
                             "ground_set_size must be an integer"),
+    "instance-sets-int": (lambda: cp.X4CInstance(8, 5), "sets must hold integers"),
+    "instance-element-str": (lambda: cp.X4CInstance(8, [[0, 1, 2, "a"]]),
+                             "sets must hold integers"),
     "certificate-count-float": (lambda: cp.MoveCertificate({(0, 1): 1.0}), "moves must map"),
     # sets 0 and 2 overlap, and there is no set 99
     "cover-overlapping": (lambda: cp.cover_witness_certificate(_X, [0, 2]), "cover"),
     "cover-out-of-range": (lambda: cp.cover_witness_certificate(_X, [99]), "cover"),
+    "cover-int": (lambda: cp.cover_witness_certificate(_X, 5), "cover"),
+    "cover-none": (lambda: cp.cover_witness_certificate(_X, None), "cover"),
+    "moves-none": (lambda: cp.apply_moves(cp.path_graph(2), cp.Configuration([2, 0]), None),
+                   "moves"),
     # _X has a cover, so no search runs that could check the budget
     "equivalence-budget-float": (lambda: cp.reduction_equivalence_check(_X, budget=1.5),
                                  "budget must be an integer"),

@@ -457,23 +457,30 @@ def test_solve_refutations_match_bruteforce():
 
 
 def _tree_fold_solvable(g, c):
-    """Independent decider for trees: fold from the leaves up to vertex 0.
+    """Independent decider for forests: fold each tree from its leaves up to
+    its smallest vertex.
 
     A vertex with value C(v) + in >= 1 sends (value - 1) // 2 pebbles to its
     parent; any other vertex needs 1 - value from it, which costs the parent
-    twice that.  The tree is solvable iff the root ends with value >= 1.
+    twice that.  The forest is solvable iff every root ends with value >= 1.
     """
-    parent = {0: None}
-    order = [0]
-    for u in order:
-        for w in g.adjacency[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
+    parent = {}
     value = list(c.pebbles)
-    for v in reversed(order[1:]):
-        value[parent[v]] += (value[v] - 1) // 2 if value[v] >= 1 else -2 * (1 - value[v])
-    return value[0] >= 1
+    for root in range(g.vertex_count):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for u in order:
+            for w in g.adjacency[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        for v in reversed(order[1:]):
+            value[parent[v]] += (value[v] - 1) // 2 if value[v] >= 1 else -2 * (1 - value[v])
+        if value[root] < 1:
+            return False
+    return True
 
 
 def test_solve_agrees_with_the_tree_fold_beyond_six_vertices():
@@ -496,6 +503,37 @@ def test_solve_agrees_with_the_tree_fold_beyond_six_vertices():
         assert result.status == (cp.SOLVABLE if _tree_fold_solvable(g, c) else cp.UNSOLVABLE)
         verdicts[result.status] += 1
     assert verdicts[cp.SOLVABLE] >= 100 and verdicts[cp.UNSOLVABLE] >= 100, verdicts
+
+
+def test_solve_agrees_with_the_tree_fold_on_forests():
+    # 2-4 random trees of 1-10 vertices each, their vertices relabelled and
+    # interleaved, with n to 4n pebbles on uniform vertices: solve() splits
+    # the forest into components and must still agree with the fold
+    rng = random.Random(30)
+    searched = searched_refutations = 0
+    for _ in range(300):
+        sizes = [rng.randint(1, 10) for _ in range(rng.randint(2, 4))]
+        n = sum(sizes)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        edges, base = [], 0
+        for size in sizes:
+            tree = cp.random_tree(size, rng.getrandbits(63))
+            edges += [(labels[base + u], labels[base + v]) for u, v in tree.edges]
+            base += size
+        g = cp.Graph(n, edges)
+        counts = [0] * n
+        for _ in range(rng.randint(n, 4 * n)):
+            counts[rng.randrange(n)] += 1
+        c = cp.Configuration(counts)
+        result = cp.solve(g, c, budget=200_000)
+        assert result.status == (cp.SOLVABLE if _tree_fold_solvable(g, c) else cp.UNSOLVABLE)
+        if result.status == cp.SOLVABLE:
+            assert cp.verify_certificate(g, c, result.certificate)
+        if result.nodes_expanded > 1:
+            searched += 1
+            searched_refutations += result.status == cp.UNSOLVABLE
+    assert searched >= 100 and searched_refutations >= 40, (searched, searched_refutations)
 
 
 # sha256 of every outcome below, computed before the search kept its surplus
