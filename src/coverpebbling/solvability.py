@@ -78,7 +78,7 @@ class MoveCertificate:
     def __init__(self, moves=None):
         cleaned = {}
         try:
-            for (i, j), count in dict(moves or {}).items():
+            for (i, j), count in ({} if moves is None else moves).items():
                 i, j, count = operator.index(i), operator.index(j), operator.index(count)
                 if count < 0:
                     raise ValueError(f"negative move count for ({i},{j})")
@@ -86,7 +86,7 @@ class MoveCertificate:
                     raise ValueError(f"move ({i},{j}) from a vertex to itself")
                 if count:
                     cleaned[(i, j)] = count
-        except TypeError as exc:
+        except (AttributeError, TypeError) as exc:
             raise ValueError(f"moves must map integer pairs to integer counts: {exc}") from exc
         self.moves = cleaned
 
@@ -275,11 +275,13 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
     test.  Disconnected graphs are decided per component (solvable iff every
     component is).  Every component is screened by the cheap tests before
     any component is searched; the first refuted component decides the
-    answer, and no subgraph is built after it.  A search that tests more
-    than `budget` distinct states (moves), cut ones included, reports
-    UNDECIDED rather than guessing; each state costs one pass over the
-    vertices and edges, so the budget bounds the work.  `budget` must be a
-    non-negative integer; budget 0 stops at the root, after 1 node.
+    answer, and no subgraph is built after it.  Screens and searches give
+    plain statuses and moves; the one SolveResult is built here.  A search
+    that tests more than `budget` distinct states (moves), cut ones
+    included, reports UNDECIDED rather than guessing; each state costs one
+    pass over the vertices and edges, so the budget bounds the work.
+    `budget` must be a non-negative integer; budget 0 stops at the root,
+    after 1 node.
     """
     check_pairing(g, c)
     if g.vertex_count < 1:
@@ -295,37 +297,35 @@ def solve(g: Graph, c: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> Solv
             sub = Graph(
                 len(comp), [(index[u], index[v]) for u in comp for v in g.adjacency[u] if u < v])
             sub_conf = Configuration(c[v] for v in comp)
-        outcome = _screen(sub, sub_conf)
-        if isinstance(outcome, SolveResult) and outcome.status == UNSOLVABLE:
-            return outcome
-        parts.append((sub, sub_conf, outcome))
+        tag, status, found = _screen(sub, sub_conf)
+        if status == UNSOLVABLE:
+            return SolveResult(UNSOLVABLE, None, 0, tag)
+        parts.append((sub, sub_conf, tag, status, found))
 
     merged_moves = {}
     nodes = 0
     fast_path = FP_ALL_COVERED
-    for comp, (sub, sub_conf, outcome) in zip(components, parts):
-        if isinstance(outcome, SolveResult):
-            tag, moves = outcome.fast_path, outcome.certificate.moves
-        else:
-            tag, diam, surplus = outcome
-            status, moves, used = _search(sub, sub_conf, budget - nodes, diam, surplus)
+    for comp, (sub, sub_conf, tag, status, found) in zip(components, parts):
+        if status is None:
+            status, found, used = _search(sub, sub_conf, budget - nodes, *found)
             nodes += used
             if tag == FP_STACKING and status == UNSOLVABLE:
                 raise AssertionError("search contradicted the stacking-number guarantee")
             if status != SOLVABLE:
                 return SolveResult(status, None, nodes, tag)
         fast_path = max(fast_path, tag, key=_FP_PRECEDENCE.index)
-        merged_moves.update(((comp[i], comp[j]), m) for (i, j), m in moves.items())
+        merged_moves.update(((comp[i], comp[j]), m) for (i, j), m in found.items())
     return SolveResult(SOLVABLE, MoveCertificate(merged_moves), nodes, fast_path)
 
 
 def _screen(g: Graph, c: Configuration):
-    """The cheap tests on one connected component.
+    """The cheap tests on one connected component, as (tag, status, found).
 
-    Returns the SolveResult when they decide it, else the fast-path tag,
-    the diameter and the root surplus
-    S(e) = sum_v (C(v) - 1) 2^(diam - d(v, e)) that _search starts from.  The
-    reach test and S read one weighted-mass vector
+    When they decide it, status is SOLVABLE or UNSOLVABLE and found holds
+    the moves of a cover, or None.  Otherwise status is None and found is
+    the (diam, surplus) that _search starts from: the diameter and the root
+    surplus S(e) = sum_v (C(v) - 1) 2^(diam - d(v, e)).  The reach test and
+    S read one weighted-mass vector
     mass[e] = sum_v C(v) 2^(diam - d(v, e)), built from the distance rows of
     the non-empty v: an empty e is out of reach when mass[e] < 2^diam, and
     S(e) = mass[e] - sum_v 2^(diam - d(v, e)), whose last sums the stacking
@@ -334,13 +334,13 @@ def _screen(g: Graph, c: Configuration):
     n = g.vertex_count
     t = c.total
     if min(c.pebbles) >= 1:
-        return SolveResult(SOLVABLE, MoveCertificate({}), 0, FP_ALL_COVERED)
+        return FP_ALL_COVERED, SOLVABLE, {}
     if t < n:
-        return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
+        return FP_TRIVIAL_DEFICIT, UNSOLVABLE, None
     if g.edge_count == n * (n - 1) // 2:
         if complete_graph_solvable(n, c):
-            return SolveResult(SOLVABLE, _complete_graph_certificate(c), 0, FP_COMPLETE_GRAPH)
-        return SolveResult(UNSOLVABLE, None, 0, FP_COMPLETE_GRAPH)
+            return FP_COMPLETE_GRAPH, SOLVABLE, _complete_graph_moves(c)
+        return FP_COMPLETE_GRAPH, UNSOLVABLE, None
     # reject when some empty vertex is out of reach even of fractional pebble mass;
     # weighing C(v) by 2^(diam - d(v, e)) makes "weight >= 1" an exact int test against 2^diam
     dist = g.distances
@@ -350,20 +350,20 @@ def _screen(g: Graph, c: Configuration):
         if p:
             mass = [m + (p << diam - d) for m, d in zip(mass, dist[v].tolist())]
     if any(m < 1 << diam for m, x in zip(mass, c.pebbles) if x == 0):
-        return SolveResult(UNSOLVABLE, None, 0, FP_TRIVIAL_DEFICIT)
+        return FP_TRIVIAL_DEFICIT, UNSOLVABLE, None
     surplus = list(map(operator.sub, mass, power_sums(diam - dist)))  # dist is symmetric
     guaranteed = min(surplus) >= 0 and t >= max(stacking_weights(g))  # a refuted root has t < λ
-    return FP_STACKING if guaranteed else FP_SEARCH, diam, surplus
+    return FP_STACKING if guaranteed else FP_SEARCH, None, (diam, surplus)
 
 
-def _complete_graph_certificate(c: Configuration) -> MoveCertificate:
+def _complete_graph_moves(c: Configuration) -> Counter:
     # on K_n every pair is an edge: each vertex with p >= 1 can spare
     # (p - 1) // 2 moves and still stay covered; route one spare move into
     # each empty vertex, taking the spares in vertex order.  _screen calls
     # this only when X + t >= 2n holds, which leaves at least one spare per
     # empty vertex, so the spares never run out.
     spares = (v for v, p in enumerate(c.pebbles) for _ in range((p - 1) // 2))
-    return MoveCertificate(Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p))
+    return Counter((next(spares), e) for e, p in enumerate(c.pebbles) if not p)
 
 
 def _search(g: Graph, c: Configuration, budget: int, diam: int, surplus):
@@ -405,11 +405,11 @@ def _search(g: Graph, c: Configuration, budget: int, diam: int, surplus):
     figure gadget takes 21 nodes this way and 80,680 in generation order).
 
     When the root has some S(e) < 0, every root child is cut and none is a
-    cover, so after the root's own budget check the search returns at once:
-    the root's children are the distinct moves out of vertices holding at
-    least three pebbles (none when t = n), which makes 1 + the sum of those
-    vertices' degrees nodes, or UNDECIDED at budget + 1 if that is more
-    than the budget.
+    cover, so the search returns at once: the root's children are the
+    distinct moves out of vertices holding at least three pebbles (none
+    when t = n), which makes 1 + the sum of those vertices' degrees nodes.
+    That count, or 1 for a root that passes the test, is checked against
+    the budget once, giving UNDECIDED at budget + 1 if it is more.
 
     The diameter and the root's surplus list come from _screen.  Below the
     root a node holds its whole surplus vector as one int: field e, `size`
@@ -437,14 +437,13 @@ def _search(g: Graph, c: Configuration, budget: int, diam: int, surplus):
     """
     n = g.vertex_count
     adjacency = g.adjacency
+    refuted = min(surplus) < 0  # every child of the root is cut, and none is a cover
     nodes = 1  # the root
+    if refuted and c.total > n:
+        nodes += sum(len(adjacency[u]) for u, p in enumerate(c.pebbles) if p >= 3)
     if nodes > budget:
-        return UNDECIDED, None, nodes
-    if min(surplus) < 0:  # every child of the root is cut, and none is a cover
-        if c.total > n:
-            nodes += sum(len(adjacency[u]) for u, p in enumerate(c.pebbles) if p >= 3)
-        if nodes > budget:
-            return UNDECIDED, None, budget + 1
+        return UNDECIDED, None, budget + 1
+    if refuted:
         return UNSOLVABLE, None, nodes
     size = (c.total << diam).bit_length() // 8 + 1
     half = 1 << 8 * size - 1

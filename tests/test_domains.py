@@ -37,6 +37,10 @@ _NAMED = {
     "instance-element-str": (lambda: cp.X4CInstance(8, [[0, 1, 2, "a"]]),
                              "sets must hold integers"),
     "certificate-count-float": (lambda: cp.MoveCertificate({(0, 1): 1.0}), "moves must map"),
+    # only None means no moves
+    "certificate-zero": (lambda: cp.MoveCertificate(0), "moves must map"),
+    "certificate-empty-str": (lambda: cp.MoveCertificate(""), "moves must map"),
+    "certificate-str": (lambda: cp.MoveCertificate("ab"), "moves must map"),
     # sets 0 and 2 overlap, and there is no set 99
     "cover-overlapping": (lambda: cp.cover_witness_certificate(_X, [0, 2]), "cover"),
     "cover-out-of-range": (lambda: cp.cover_witness_certificate(_X, [99]), "cover"),

@@ -913,14 +913,14 @@ def test_screen_reads_reach_and_surplus_off_one_mass_vector():
             c = cp.Configuration(counts)
             if c.total < n or min(counts) >= 1:
                 continue
-            outcome = _screen(g, c)
+            tag, status, found = _screen(g, c)
             if _reaches(g, c):
                 surplus = _surplus(g, counts, range(n))
-                assert outcome[2] == surplus
+                assert status is None and found[1] == surplus
                 passed += 1
                 wide += max(map(abs, surplus)) >= 1 << 63
             else:
-                assert (outcome.status, outcome.fast_path) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
+                assert (status, tag) == (cp.UNSOLVABLE, FP_TRIVIAL_DEFICIT)
                 rejected += 1
     assert passed > 1000 and rejected > 150 and wide >= 5
 
@@ -1118,9 +1118,9 @@ def test_screen_tags_stacking_bound_exactly_from_the_cover_number():
             for _ in range(3):
                 pebbles[rng.randrange(n)] += t // 3
             pebbles[rng.randrange(n)] += t - sum(pebbles)
-            outcome = _screen(g, cp.Configuration(pebbles))
-            if isinstance(outcome, tuple):
-                assert outcome[0] == (FP_STACKING if t >= lam else FP_SEARCH), (g, pebbles)
+            tag, status, _ = _screen(g, cp.Configuration(pebbles))
+            if status is None:
+                assert tag == (FP_STACKING if t >= lam else FP_SEARCH), (g, pebbles)
                 tagged += 1
     assert tagged > 200
     # lambda(P_64) = 2^64 - 1 is beyond int64
@@ -1130,6 +1130,14 @@ def test_screen_tags_stacking_bound_exactly_from_the_cover_number():
             pebbles = [0] * 64
             pebbles[v] = t
             assert _screen(p64, cp.Configuration(pebbles))[0] == tag
+
+
+def test_a_search_that_contradicts_the_stacking_tag_raises(monkeypatch):
+    # lambda(P_3) = 7, so 7 pebbles on an end is tagged stacking-bound and
+    # must be solvable; a search that refutes it is caught, not reported
+    monkeypatch.setattr("coverpebbling.solvability._search", lambda *args: (cp.UNSOLVABLE, None, 1))
+    with pytest.raises(AssertionError, match="search contradicted the stacking-number guarantee"):
+        cp.solve(cp.path_graph(3), cp.Configuration([7, 0, 0]))
 
 
 def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
